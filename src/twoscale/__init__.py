@@ -9,7 +9,6 @@ from .engine import (
     reconstruct_original,
     run_ensemble,
     simulate,
-    simulate_gained,
     simulate_transformed,
 )
 from .estimator import NormalityReport, normality_check, scaled_covariances, standard_errors
@@ -29,7 +28,6 @@ from .schedules import (
     StepSchedule,
     beta_bar_limit,
     epsilon_limit,
-    step_value,
     validate_schedules,
 )
 from .theory import (
@@ -77,10 +75,8 @@ __all__ = [
     "run_ensemble",
     "scaled_covariances",
     "simulate",
-    "simulate_gained",
     "simulate_transformed",
     "standard_errors",
-    "step_value",
     "validate_schedules",
     "validate_system",
 ]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, estimator, theory
-from .errors import Diverged, TwoScaleError
+from .errors import AssumptionViolation, Diverged, TwoScaleError
 from .model import SystemSpec, averaging_system, validate_system
 from .schedules import SchedulePair, StepSchedule
 
@@ -124,6 +124,20 @@ def _validation_gate(cfg: RunConfig, skip: bool) -> int | None:
     return None
 
 
+def _predict_full(cfg: RunConfig) -> theory.CovariancePrediction:
+    """The full-chain prediction, refused when the step-size ratio limit is positive.
+
+    The limit equations hold for epsilon = 0 only; a single-time-scale
+    config would otherwise get the two-time-scale numbers without warning.
+    """
+    epsilon = cfg.schedules.epsilon
+    if epsilon > 0.0:
+        print(f"time-scale-separation: epsilon = {epsilon:.6g} > 0, "
+              "but the limit equations assume epsilon = 0")
+        raise AssumptionViolation(["time-scale-separation"])
+    return theory.predict_full(cfg.system, cfg.schedules.beta_bar)
+
+
 def cmd_validate(args) -> int:
     cfg = load_config(args.config, args)
     report = validate_system(cfg.system, cfg.schedules)
@@ -138,9 +152,8 @@ def cmd_predict(args) -> int:
     gate = _validation_gate(cfg, args.skip_validate)
     if gate is not None:
         return gate
-    beta_bar = cfg.schedules.beta_bar
-    pred = theory.predict_full(cfg.system, beta_bar)
-    reduced = theory.predict_reduced(cfg.system, beta_bar)
+    pred = _predict_full(cfg)
+    reduced = theory.predict_reduced(cfg.system, cfg.schedules.beta_bar)
     opt_cov, g1_opt, g_opt = theory.optimal_gain_covariance(cfg.system)
 
     scale = 1.0 + float(np.linalg.norm(pred.Sigma11))
@@ -170,20 +183,10 @@ def cmd_predict(args) -> int:
 def _run_propagate(cfg: RunConfig) -> int:
     cps = cfg.checkpoints or geometric_checkpoints(cfg.steps)
     trace = engine.propagate_covariance(cfg.system, cfg.schedules, None, cfg.steps, cps)
-    pred = theory.predict_full(cfg.system, cfg.schedules.beta_bar)
+    pred = _predict_full(cfg)
 
-    header = ["k", "beta", "gamma"]
-    n, m = cfg.system.n, cfg.system.m
-    header += [f"S11_{i}_{j}" for i in range(n) for j in range(n)]
-    header += [f"S12_{i}_{j}" for i in range(n) for j in range(m)]
-    header += [f"S22_{i}_{j}" for i in range(m) for j in range(m)]
-    lines = [",".join(header)]
-    for cp in trace:
-        vals = [str(cp.k), engine.format_float(cp.beta), engine.format_float(cp.gamma)]
-        for block in (cp.Sigma11, cp.Sigma12, cp.Sigma22):
-            vals += [engine.format_float(v) for v in np.asarray(block).ravel()]
-        lines.append(",".join(vals))
-    _write_lines(lines, cfg.out)
+    rows = [(cp.k, cp.beta, cp.gamma, cp.Sigma11, cp.Sigma12, cp.Sigma22) for cp in trace]
+    _write_lines(_covariance_lines(cfg, rows), cfg.out)
 
     final = trace[-1]
     err = float(np.linalg.norm(final.Sigma11 - pred.Sigma11) / np.linalg.norm(pred.Sigma11))
@@ -191,20 +194,17 @@ def _run_propagate(cfg: RunConfig) -> int:
     return EXIT_OK if err < PROPAGATE_TOL else EXIT_TOLERANCE
 
 
-def _ensemble_stats_lines(cfg: RunConfig, result: engine.EnsembleResult) -> list[str]:
+def _covariance_lines(cfg: RunConfig, rows) -> list[str]:
+    """CSV with one line per (k, beta, gamma, S11, S12, S22) row, blocks flattened row-major."""
     n, m = cfg.system.n, cfg.system.m
     header = ["k", "beta", "gamma"]
     header += [f"S11_{i}_{j}" for i in range(n) for j in range(n)]
     header += [f"S12_{i}_{j}" for i in range(n) for j in range(m)]
     header += [f"S22_{i}_{j}" for i in range(m) for j in range(m)]
     lines = [",".join(header)]
-    for cp in result.checkpoints:
-        if cp.k == 0:
-            continue
-        S11, S12, S22 = estimator.scaled_covariances(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
-        vals = [str(cp.k), engine.format_float(cp.beta), engine.format_float(cp.gamma)]
-        for block in (S11, S12, S22):
-            vals += [engine.format_float(v) for v in np.asarray(block).ravel()]
+    for k, beta, gamma, *blocks in rows:
+        vals = [str(k), engine.format_float(beta), engine.format_float(gamma)]
+        vals += [engine.format_float(v) for block in blocks for v in np.asarray(block).ravel()]
         lines.append(",".join(vals))
     return lines
 
@@ -220,10 +220,15 @@ def _run_ensemble(cfg: RunConfig) -> int:
     result = engine.run_ensemble(
         cfg.system, cfg.schedules, cfg.replicas, cfg.steps, cps, cfg.seed, jobs=cfg.jobs
     )
-    lines = _ensemble_stats_lines(cfg, result)
-    _write_lines(lines, cfg.out)
+    rows = [
+        (cp.k, cp.beta, cp.gamma,
+         *estimator.scaled_covariances(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma))
+        for cp in result.checkpoints
+        if cp.k > 0
+    ]
+    _write_lines(_covariance_lines(cfg, rows), cfg.out)
 
-    pred = theory.predict_full(cfg.system, cfg.schedules.beta_bar)
+    pred = _predict_full(cfg)
     cp = result.final
     S11, S12, S22 = estimator.scaled_covariances(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
     SE11, SE12, SE22 = estimator.standard_errors(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
@@ -239,7 +244,7 @@ def _run_normality(cfg: RunConfig) -> int:
     result = engine.run_ensemble(
         cfg.system, cfg.schedules, cfg.replicas, cfg.steps, [cfg.steps], cfg.seed, jobs=cfg.jobs
     )
-    pred = theory.predict_full(cfg.system, cfg.schedules.beta_bar)
+    pred = _predict_full(cfg)
     cp = result.final
     report = estimator.normality_check(cp.theta_hat, cp.beta, pred.Sigma11)
     for line in report.lines():

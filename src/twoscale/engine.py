@@ -1,5 +1,29 @@
 """Simulation and exact covariance propagation for the coupled recursions.
 
+Segment kernel
+--------------
+Every route advances a state through per-step affine maps
+z -> M_j z + N_j u_j, where u_j is the step's input: in original
+coordinates M_j = I - D_j A and N_j = D_j F, with D_j the diagonal of slow
+and fast step sizes and F F' the joint noise covariance; the decoupled
+recursion has its own block-triangular maps.  `_compose` turns the maps of
+one segment of L steps into a single pair (P, W) with z_b = P z_a + W' u,
+u the segment's inputs flattened step-major: P = M_{L-1} ... M_0, and W
+stacks (R_j N_j)' for the suffix products R_j = M_{L-1} ... M_{j+1}.
+`_suffix_products` computes those products with an odd-even scan (Blelloch
+1990): O(L d^3) work in O(log L) batched matrix products.
+
+Segments end at every noise-tile edge and at every checkpoint or recorded
+step, so each segment reads inside one tile and every reported state is the
+exact composition of its steps.  Step maps are built once per tile and
+sliced per segment.  Exact propagation updates the second moment as
+C <- P C P' + W'W; an ensemble advances each replica chunk as
+Z <- Z P' + Zraw W, one GEMM per chunk and segment, from a plan that keeps
+only (P, W) per segment; a single trajectory applies the same pair to one
+vector.  A segment that ends beyond the divergence cutoff is replayed one
+step at a time from its per-step maps to report the first bad step and the
+replicas that crossed it.
+
 Determinism contract
 --------------------
 Every standardized draw is a pure function of (base_seed, replica, step).
@@ -11,32 +35,26 @@ coordinate c) is the tile entry
 functions of d alone, so which values a replica sees never depends on N, K,
 checkpoints, chunk scheduling, or the degree of parallelism: results are
 bit-identical for any --jobs setting and replay exactly.
-
-Ensembles advance all replicas of a chunk through a noise block at once by
-composing the per-step affine updates into one transition matrix and one
-noise-weight matrix per segment (a single GEMM per chunk and segment).
-Exact covariance propagation composes the same per-step maps on the
-vectorized second moment, reducing a million steps to a few hundred batched
-matrix products.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import Diverged, NotPSD
 from .linalg import factor_covariance, symmetrize
-from .model import SystemSpec, delta_matrix, fixed_point
+from .model import SystemSpec, centring_matrix, delta_matrix, fixed_point
 from .schedules import SchedulePair
 from .theory import LSequence, l_sequence
 
 DIVERGENCE_CUTOFF = 1e12
 NOISE_CHUNK = 64  # replicas per noise tile
 _MASK64 = (1 << 64) - 1
-_PROPAGATE_CHUNK_BYTES = 64 * 1024 * 1024
 
 
 def noise_block_steps(dim: int) -> int:
@@ -139,19 +157,9 @@ class NoiseStream:
             )
         return self._reader.segment(a, b)[row].reshape(b - a, self.dim)
 
-    def blocks(self, K: int, block: int | None = None):
-        """Yield consecutive (steps, dim) correlated draws (V | W) covering steps 0..K-1."""
-        Ft = self.factor.T
-        block = block or noise_block_steps(self.dim)
-        done = 0
-        while done < K:
-            stop = min(K, done + block)
-            yield self.standard_range(done, stop) @ Ft
-            done = stop
-
     def draws(self, K: int) -> np.ndarray:
         """All correlated draws for steps 0..K-1 in one array."""
-        return np.concatenate(list(self.blocks(K)), axis=0)
+        return self.standard_range(0, K) @ self.factor.T
 
 
 def noise_stream(spec: SystemSpec, base_seed: int, replica: int) -> NoiseStream:
@@ -165,6 +173,102 @@ def noise_stream(spec: SystemSpec, base_seed: int, replica: int) -> NoiseStream:
 
 
 # ---------------------------------------------------------------------------
+# segment kernel
+
+
+def _suffix_products(S: np.ndarray) -> np.ndarray:
+    """Overwrite an (L, d, d) stack M_j with its suffix products M_{L-1} ... M_j.
+
+    Odd-even scan: each even entry absorbs its odd neighbour, the even
+    entries (a strided view) are scanned recursively, then each odd entry
+    takes one product with the even suffix after it.
+    """
+    L = len(S)
+    if L > 1:
+        S[0 : L - 1 : 2] = S[1::2] @ S[0 : L - 1 : 2]
+        _suffix_products(S[0::2])
+        S[1 : L - 1 : 2] = S[2::2] @ S[1 : L - 1 : 2]
+    return S
+
+
+def _compose(M: np.ndarray, N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Compose the maps z -> M_j z + N_j u_j of one segment, index 0 first.
+
+    Returns (P, W) with z_b = P z_a + W' u for the inputs u flattened
+    step-major.  Both are fresh arrays, so a plan that keeps them holds no
+    scan buffers.
+    """
+    L, d, e = N.shape
+    if L == 1:
+        return M[0].copy(), N[0].T.copy()
+    S = _suffix_products(M.copy())
+    Wt = np.empty((L, e, d))  # block j is (R_j N_j)'
+    np.matmul(N[:-1].transpose(0, 2, 1), S[1:].transpose(0, 2, 1), out=Wt[:-1])
+    Wt[-1] = N[-1].T
+    return S[0].copy(), Wt.reshape(L * e, d)
+
+
+def _step_maps(spec: SystemSpec, pair: SchedulePair, F: np.ndarray, a: int, b: int):
+    """Per-step maps M_k = I - D_k A and input weights N_k = D_k F for k in [a, b)."""
+    ks = np.arange(a, b)
+    steps = np.stack([pair.slow.values(ks), pair.fast.values(ks)], axis=1)
+    dvec = np.repeat(steps, [spec.n, spec.m], axis=1)[:, :, None]
+    return np.eye(spec.n + spec.m) - dvec * spec.block_matrix(), dvec * F
+
+
+def _segments(tile, start: int, stop: int, block: int, edges):
+    """Yield (a, b, P, W, maps) for each kernel segment [a, b) of [start, stop).
+
+    Segments end at every noise-tile edge (a multiple of block) and at every
+    value of the sorted sequence edges.  tile(t0, t1) returns per-step arrays
+    for the steps of one tile, the maps M and N first; it is called once per
+    tile, and maps holds its arrays sliced to the segment.
+    """
+    t0 = start
+    while t0 < stop:
+        t1 = min(stop, (t0 // block + 1) * block)
+        arrays = tile(t0, t1)
+        bounds = [t0, *edges[bisect_right(edges, t0) : bisect_left(edges, t1)], t1]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            maps = [x[a - t0 : b - t0] for x in arrays]
+            yield (a, b, *_compose(maps[0], maps[1]), maps)
+        t0 = t1
+
+
+def _finite(Z: np.ndarray) -> bool:
+    # NaN compares false, so it fails the test like inf does.
+    return float(np.abs(Z).max()) <= DIVERGENCE_CUTOFF
+
+
+def _replay(Z, M, N, U, a: int, replicas=None) -> None:
+    """Step a failing segment map by map and raise Diverged at the first bad step.
+
+    Z holds the states entering step a, one row per replica; U holds the
+    segment's inputs as (rows, steps, inputs).
+    """
+    for j in range(len(M)):
+        Z = Z @ M[j].T + U[:, j] @ N[j].T
+        bad = ~(np.abs(Z).max(axis=1) <= DIVERGENCE_CUTOFF)
+        if np.any(bad):
+            where = None if replicas is None else [int(replicas[i]) for i in np.flatnonzero(bad)]
+            raise Diverged(a + j + 1, where)
+    raise Diverged(a + len(M), None if replicas is None else list(replicas))
+
+
+def _advance(z: np.ndarray, tile, start: int, stop: int, block: int, edges):
+    """Advance one state vector from step start to stop, yielding (k, z_k) at each segment end.
+
+    tile(t0, t1) returns the maps (M, N) and inputs U of the steps [t0, t1).
+    """
+    for a, b, P, W, (M, N, U) in _segments(tile, start, stop, block, edges):
+        z_next = P @ z + U.reshape(-1) @ W
+        if not _finite(z_next):
+            _replay(z[None], M, N, U[None], a)
+        z = z_next
+        yield b, z
+
+
+# ---------------------------------------------------------------------------
 # single trajectories
 
 
@@ -173,13 +277,6 @@ class TrajectoryState:
     k: int
     theta: np.ndarray
     r: np.ndarray
-
-
-def _check_finite(k: int, *vecs: np.ndarray) -> None:
-    for v in vecs:
-        m = float(np.max(np.abs(v))) if v.size else 0.0
-        if not np.isfinite(m) or m > DIVERGENCE_CUTOFF:
-            raise Diverged(k)
 
 
 def _init_vectors(spec: SystemSpec, init) -> tuple[np.ndarray, np.ndarray]:
@@ -198,80 +295,31 @@ def simulate(
     noise: NoiseStream,
     record_stride: int = 1,
 ) -> list[TrajectoryState]:
-    """Run the coupled recursion for K steps, recording every record_stride steps."""
+    """Run the coupled recursion for K steps, recording every record_stride steps.
+
+    Runs in original coordinates: the offset D_k b enters the segment kernel
+    as one more input column whose draw is always one.
+    """
     if K < 1:
         raise ValueError("K must be at least 1")
     if record_stride < 1:
         raise ValueError("record_stride must be at least 1")
     theta, r = _init_vectors(spec, init)
     n = spec.n
-    betas = pair.slow.values(np.arange(K))
-    gammas = pair.fast.values(np.arange(K))
+    Fb = np.column_stack([noise.factor, spec.offset()])
 
-    states = [TrajectoryState(0, theta.copy(), r.copy())]
-    k = 0
+    def tile(a, b):
+        M, N = _step_maps(spec, pair, Fb, a, b)
+        return M, N, np.column_stack([noise.standard_range(a, b), np.ones(b - a)])
+
+    states = [TrajectoryState(0, theta, r)]
+    z = np.concatenate([theta, r])
+    edges = range(record_stride, K, record_stride)
+    # Unstable systems overflow the composed maps; the replay reports where.
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in noise.blocks(K):
-            for row in block:
-                theta_new = theta + betas[k] * (spec.b1 - spec.A11 @ theta - spec.A12 @ r + row[:n])
-                r_new = r + gammas[k] * (spec.b2 - spec.A21 @ theta - spec.A22 @ r + row[n:])
-                theta, r = theta_new, r_new
-                k += 1
-                _check_finite(k, theta, r)
-                if k % record_stride == 0 or k == K:
-                    states.append(TrajectoryState(k, theta.copy(), r.copy()))
-    return states
-
-
-def simulate_gained(
-    spec: SystemSpec,
-    pair: SchedulePair,
-    gain,
-    init,
-    K: int,
-    noise: NoiseStream,
-    record_stride: int = 1,
-) -> list[TrajectoryState]:
-    """Run the recursion with a gain on the update direction.
-
-    An n x n gain multiplies only the slow update; an (n+m) x (n+m) gain
-    multiplies the stacked update and runs single-time-scale, with the fast
-    block using the slow step size.
-    """
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    gain = np.asarray(gain, dtype=np.float64)
-    n, m = spec.n, spec.m
-    if gain.shape == (n, n):
-        slow_gain, full_gain = gain, None
-    elif gain.shape == (n + m, n + m):
-        slow_gain, full_gain = None, gain
-    else:
-        raise ValueError(f"gain must be {n}x{n} or {n + m}x{n + m}, got {gain.shape}")
-
-    theta, r = _init_vectors(spec, init)
-    betas = pair.slow.values(np.arange(K))
-    gammas = betas if full_gain is not None else pair.fast.values(np.arange(K))
-
-    states = [TrajectoryState(0, theta.copy(), r.copy())]
-    k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in noise.blocks(K):
-            for row in block:
-                slow_dir = spec.b1 - spec.A11 @ theta - spec.A12 @ r + row[:n]
-                fast_dir = spec.b2 - spec.A21 @ theta - spec.A22 @ r + row[n:]
-                if full_gain is not None:
-                    direction = full_gain @ np.concatenate([slow_dir, fast_dir])
-                    theta_new = theta + betas[k] * direction[:n]
-                    r_new = r + betas[k] * direction[n:]
-                else:
-                    theta_new = theta + betas[k] * (slow_gain @ slow_dir)
-                    r_new = r + gammas[k] * fast_dir
-                theta, r = theta_new, r_new
-                k += 1
-                _check_finite(k, theta, r)
-                if k % record_stride == 0 or k == K:
-                    states.append(TrajectoryState(k, theta.copy(), r.copy()))
+        for k, z in _advance(z, tile, 0, K, noise_block_steps(noise.dim), edges):
+            if k % record_stride == 0 or k == K:
+                states.append(TrajectoryState(k, z[:n], z[n:]))
     return states
 
 
@@ -317,66 +365,57 @@ def simulate_transformed(
     lseq = l_sequence(spec, pair, K, k0=k0)
     k0 = lseq.k0
 
-    n = spec.n
-    theta_star, r_star = fixed_point(spec)
+    n, m = spec.n, spec.m
+    F = noise.factor
+    block = noise_block_steps(noise.dim)
+    T = centring_matrix(spec)
     delta = delta_matrix(spec)
-    A22_inv_A21 = np.linalg.solve(spec.A22, spec.A21)
 
     theta0, r0 = _init_vectors(spec, init)
-    y = theta0 - theta_star  # slow deviation
-    s = r0 - r_star  # fast deviation
+    z = np.concatenate([theta0, r0]) - np.concatenate(fixed_point(spec))
 
-    betas = pair.slow.values(np.arange(K))
-    gammas = pair.fast.values(np.arange(K))
+    def original(a, b):
+        return (*_step_maps(spec, pair, F, a, b), noise.standard_range(a, b))
 
-    draw_iter = _rows(noise, K)
-    for k in range(k0):
-        row = next(draw_iter)
-        y_new = y + betas[k] * (-spec.A11 @ y - spec.A12 @ s + row[:n])
-        s_new = s + gammas[k] * (-spec.A21 @ y - spec.A22 @ s + row[n:])
-        y, s = y_new, s_new
-        _check_finite(k + 1, y, s)
+    def decoupled(a, b):
+        # Slow: theta' = theta - beta (B11 theta + A12 r) + beta V with
+        # B11 = Delta - A12 L_k.  Fast: r' = r - (beta C_k A12 + gamma A22) r
+        # + gamma W + beta C_k V with C_k = L_{k+1} + A22^{-1} A21.
+        ks = np.arange(a, b)
+        beta = pair.slow.values(ks)[:, None, None]
+        gamma = pair.fast.values(ks)[:, None, None]
+        Ls = lseq.values[a - k0 : b - k0 + 1]
+        coupling = Ls[1:] + T[n:, :n]
+        M = np.zeros((b - a, n + m, n + m))
+        M[:, :n, :n] = np.eye(n) - beta * (delta - spec.A12 @ Ls[:-1])
+        M[:, :n, n:] = -beta * spec.A12
+        M[:, n:, n:] = np.eye(m) - beta * (coupling @ spec.A12) - gamma * spec.A22
+        N = np.empty((b - a, n + m, F.shape[1]))
+        N[:, :n] = beta * F[:n]
+        N[:, n:] = beta * (coupling @ F[:n]) + gamma * F[n:]
+        return M, N, noise.standard_range(a, b)
 
-    theta_t = y.copy()
-    r_t = lseq.at(k0) @ y + (s + A22_inv_A21 @ y)
-
-    states = []
-
-    def record(k):
-        if (k % record_stride == 0 and k >= k0) or k in (k0, K):
-            states.append(TransformedState(k, theta_t.copy(), r_t.copy()))
-
-    record(k0)
-    for k in range(k0, K):
-        row = next(draw_iter)
-        beta, gamma = betas[k], gammas[k]
-        L_next = lseq.at(k + 1)
-        B11 = delta - spec.A12 @ lseq.at(k)
-        coupling = L_next + A22_inv_A21
-        B22 = (beta / gamma) * (coupling @ spec.A12) + spec.A22
-        theta_new = theta_t - beta * (B11 @ theta_t + spec.A12 @ r_t) + beta * row[:n]
-        r_new = r_t - gamma * (B22 @ r_t) + gamma * row[n:] + beta * (coupling @ row[:n])
-        theta_t, r_t = theta_new, r_new
-        _check_finite(k + 1, theta_t, r_t)
-        record(k + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, z in _advance(z, original, 0, k0, block, ()):
+            pass
+        x = T @ z
+        x[n:] += lseq.at(k0) @ z[:n]
+        states = [TransformedState(k0, x[:n], x[n:])]
+        edges = range(record_stride * (k0 // record_stride + 1), K, record_stride)
+        for k, x in _advance(x, decoupled, k0, K, block, edges):
+            if k % record_stride == 0 or k == K:
+                states.append(TransformedState(k, x[:n], x[n:]))
     return TransformedRun(k0=k0, states=states, lseq=lseq)
-
-
-def _rows(noise: NoiseStream, K: int):
-    for block in noise.blocks(K):
-        yield from block
 
 
 def reconstruct_original(spec: SystemSpec, run: TransformedRun) -> list[TrajectoryState]:
     """Invert the decoupling transform back to original coordinates."""
-    theta_star, _ = fixed_point(spec)
-    out = []
-    for st in run.states:
-        theta = st.theta_t + theta_star
-        r_hat = st.r_t - run.lseq.at(st.k) @ st.theta_t
-        r = r_hat + np.linalg.solve(spec.A22, spec.b2 - spec.A21 @ theta)
-        out.append(TrajectoryState(st.k, theta, r))
-    return out
+    n = spec.n
+    hats = np.array(
+        [np.concatenate([st.theta_t, st.r_t - run.lseq.at(st.k) @ st.theta_t]) for st in run.states]
+    )
+    X = np.linalg.solve(centring_matrix(spec), hats.T).T + np.concatenate(fixed_point(spec))
+    return [TrajectoryState(st.k, x[:n], x[n:]) for st, x in zip(run.states, X)]
 
 
 # ---------------------------------------------------------------------------
@@ -393,39 +432,6 @@ class CovarianceCheckpoint:
     Sigma22: np.ndarray
 
 
-def _step_maps(spec: SystemSpec, pair: SchedulePair, a: int, b: int):
-    """Per-step update matrices M_k = I - D_k A and noise injections for k in [a, b)."""
-    n, m = spec.n, spec.m
-    d = n + m
-    ks = np.arange(a, b)
-    dvec = np.concatenate(
-        [
-            np.repeat(pair.slow.values(ks)[:, None], n, axis=1),
-            np.repeat(pair.fast.values(ks)[:, None], m, axis=1),
-        ],
-        axis=1,
-    )
-    M = np.eye(d)[None, :, :] - dvec[:, :, None] * spec.block_matrix()[None, :, :]
-    return dvec, M
-
-
-def _compose_affine(Ks: np.ndarray, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Compose affine maps x -> K x + g, applying index 0 first."""
-    while len(Ks) > 1:
-        odd = len(Ks) % 2 == 1
-        if odd:
-            lastK, lastg = Ks[-1], gs[-1]
-            Ks, gs = Ks[:-1], gs[:-1]
-        K2 = np.matmul(Ks[1::2], Ks[0::2])
-        g2 = np.matmul(Ks[1::2], gs[0::2][..., None])[..., 0] + gs[1::2]
-        if odd:
-            Ks = np.concatenate([K2, lastK[None]])
-            gs = np.concatenate([g2, lastg[None]])
-        else:
-            Ks, gs = K2, g2
-    return Ks[0], gs[0]
-
-
 def propagate_covariance(
     spec: SystemSpec,
     pair: SchedulePair,
@@ -438,8 +444,7 @@ def propagate_covariance(
     The recursion is C_{k+1} = (I - D_k A) C_k (I - D_k A)' + D_k Gamma D_k
     with D_k the diagonal of slow and fast step sizes.  Checkpoints report
     the moment in centered coordinates, scaled by the inverse step sizes.
-    Steps are advanced by composing the vectorized per-step maps, which is
-    associative, so the reduction runs in batched matrix products.
+    Each kernel segment advances the moment at once as C <- P C P' + W'W.
     """
     n, m = spec.n, spec.m
     d = n + m
@@ -455,38 +460,25 @@ def propagate_covariance(
     if not cps or cps[0] < 1 or cps[-1] > K:
         raise ValueError("checkpoints must be within [1, K]")
 
-    Gj = spec.noise.joint()
-    T = np.block(
-        [[np.eye(n), np.zeros((n, m))], [np.linalg.solve(spec.A22, spec.A21), np.eye(m)]]
-    )
-
-    chunk = max(16, min(1 << 14, _PROPAGATE_CHUNK_BYTES // (d**4 * 8)))
-    c = C.flatten()
+    F = factor_covariance(spec.noise.joint())
+    T = centring_matrix(spec)
     out = []
-    prev = 0
-    for cp in cps:
-        for a in range(prev, cp, chunk):
-            b = min(cp, a + chunk)
-            dvec, M = _step_maps(spec, pair, a, b)
-            L = b - a
-            Ks = np.einsum("lab,lcd->lacbd", M, M).reshape(L, d * d, d * d)
-            gs = (dvec[:, :, None] * Gj[None, :, :] * dvec[:, None, :]).reshape(L, d * d)
-            Ktot, gtot = _compose_affine(Ks, gs)
-            c = Ktot @ c + gtot
-        prev = cp
-        H = T @ symmetrize(c.reshape(d, d)) @ T.T
-        beta = pair.slow.value(cp)
-        gamma = pair.fast.value(cp)
-        out.append(
-            CovarianceCheckpoint(
-                k=cp,
-                beta=beta,
-                gamma=gamma,
-                Sigma11=H[:n, :n] / beta,
-                Sigma12=H[:n, n:] / beta,
-                Sigma22=H[n:, n:] / gamma,
+    maps = functools.partial(_step_maps, spec, pair, F)
+    for _, b, P, W, _ in _segments(maps, 0, cps[-1], noise_block_steps(d), cps):
+        C = P @ C @ P.T + W.T @ W
+        if b in cps:
+            H = T @ symmetrize(C) @ T.T
+            beta, gamma = pair.slow.value(b), pair.fast.value(b)
+            out.append(
+                CovarianceCheckpoint(
+                    k=b,
+                    beta=beta,
+                    gamma=gamma,
+                    Sigma11=H[:n, :n] / beta,
+                    Sigma12=H[:n, n:] / beta,
+                    Sigma22=H[n:, n:] / gamma,
+                )
             )
-        )
     return out
 
 
@@ -512,98 +504,9 @@ class EnsembleResult:
     K: int
     checkpoints: list[CheckpointSamples]
 
-    def at(self, k: int) -> CheckpointSamples:
-        for cp in self.checkpoints:
-            if cp.k == k:
-                return cp
-        raise KeyError(f"no checkpoint at k={k}")
-
     @property
     def final(self) -> CheckpointSamples:
         return self.checkpoints[-1]
-
-
-def _segment_plan(spec: SystemSpec, pair: SchedulePair, F: np.ndarray, K: int, cps: list[int]):
-    """Precompute per-segment transition and noise-weight matrices.
-
-    Over a segment [a, b) the deviation updates compose to
-    Z_b = Z_a P' + Zraw W, where Zraw holds the standardized draws of the
-    segment flattened step-major and W stacks (R_j D_j F)' for the suffix
-    products R_j of the step maps.  Segment boundaries sit at every noise
-    tile edge and every checkpoint so recorded states are exact.
-    """
-    d = spec.n + spec.m
-    block = noise_block_steps(d)
-    bounds = sorted(set([0, K] + list(range(0, K, block)) + cps))
-    segments = []
-    # Unstable systems overflow the composed products to inf; that is the
-    # intended divergence signal, resolved stepwise later, so no warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            dvec, M = _step_maps(spec, pair, a, b)
-            L = b - a
-            W = np.empty((L * d, d))
-            R = np.eye(d)
-            for j in range(L - 1, -1, -1):
-                W[j * d : (j + 1) * d, :] = ((R * dvec[j][None, :]) @ F).T
-                R = R @ M[j]
-            segments.append((a, b, R.T.copy(), W))  # R is now the full product P
-    return segments
-
-
-def _ensemble_worker(
-    spec: SystemSpec,
-    pair: SchedulePair,
-    segments,
-    z0: np.ndarray,
-    base_seed: int,
-    replicas: range,
-    distribution: str,
-    cp_store: dict[int, tuple[np.ndarray, np.ndarray]],
-    A22_inv_A21_T: np.ndarray,
-) -> None:
-    n = spec.n
-    d = spec.n + spec.m
-    C = len(replicas)
-    chunk_idx = replicas.start // NOISE_CHUNK
-    reader = _ChunkNoise(base_seed, chunk_idx, C, d, distribution)
-    Z = np.repeat(z0[None, :], C, axis=0)
-    lo = replicas.start
-
-    def store(k: int) -> None:
-        if k in cp_store:
-            th, rh = cp_store[k]
-            th[lo : lo + C] = Z[:, :n]
-            rh[lo : lo + C] = Z[:, n:] + Z[:, :n] @ A22_inv_A21_T
-
-    store(0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a, b, Pt, W in segments:
-            zraw = reader.segment(a, b)
-            Z_prev = Z
-            Z = Z @ Pt + zraw @ W
-            peak = float(np.max(np.abs(Z)))
-            if not np.isfinite(peak) or peak > DIVERGENCE_CUTOFF:
-                _locate_divergence(spec, pair, Z_prev, zraw, a, b, replicas)
-            store(b)
-
-
-def _locate_divergence(spec, pair, Z_prev, zraw, a, b, replicas) -> None:
-    """Replay a failing segment stepwise to report the first bad step and replicas."""
-    d = spec.n + spec.m
-    A = spec.block_matrix()
-    F = factor_covariance(spec.noise.joint())
-    U = zraw.reshape(len(Z_prev), b - a, d) @ F.T
-    dvec, _ = _step_maps(spec, pair, a, b)
-    Z = Z_prev.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(b - a):
-            Z = Z - (Z @ A.T) * dvec[j][None, :] + U[:, j, :] * dvec[j][None, :]
-            peaks = np.max(np.abs(Z), axis=1)
-            bad = ~np.isfinite(peaks) | (peaks > DIVERGENCE_CUTOFF)
-            if np.any(bad):
-                raise Diverged(a + j + 1, replicas=[int(replicas[i]) for i in np.flatnonzero(bad)])
-    raise Diverged(b, replicas=list(replicas))
 
 
 def run_ensemble(
@@ -630,30 +533,35 @@ def run_ensemble(
     if not cps or cps[0] < 0 or cps[-1] > K:
         raise ValueError("checkpoints must be within [0, K]")
 
-    n, m = spec.n, spec.m
-    theta_star, r_star = fixed_point(spec)
-    theta0, r0 = _init_vectors(spec, init)
-    z0 = np.concatenate([theta0 - theta_star, r0 - r_star])
-
+    n, d = spec.n, spec.n + spec.m
+    z0 = np.concatenate(_init_vectors(spec, init)) - np.concatenate(fixed_point(spec))
     F = factor_covariance(spec.noise.joint())
-    segments = _segment_plan(spec, pair, F, K, [c for c in cps if c > 0])
-    A22_inv_A21_T = np.linalg.solve(spec.A22, spec.A21).T
-
-    cp_store = {c: (np.empty((N, n)), np.empty((N, m))) for c in cps}
+    T = centring_matrix(spec)
+    # Over a segment the deviations of a replica chunk update as
+    # Z_b = Z_a P' + Zraw W.  Unstable systems overflow the composed maps to
+    # inf; that is the intended divergence signal, resolved stepwise later.
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = functools.partial(_step_maps, spec, pair, F)
+        plan = [(a, b, P, W) for a, b, P, W, _ in _segments(maps, 0, K, noise_block_steps(d), cps)]
+    cp_store = {c: np.empty((N, d)) for c in cps}
     chunks = [range(i, min(i + NOISE_CHUNK, N)) for i in range(0, N, NOISE_CHUNK)]
 
-    def work(chunk: range) -> None:
-        _ensemble_worker(
-            spec,
-            pair,
-            segments,
-            z0,
-            base_seed,
-            chunk,
-            spec.noise.distribution,
-            cp_store,
-            A22_inv_A21_T,
-        )
+    def work(replicas: range) -> None:
+        rows, lo = len(replicas), replicas.start
+        reader = _ChunkNoise(base_seed, lo // NOISE_CHUNK, rows, d, spec.noise.distribution)
+        Z = np.repeat(z0[None, :], rows, axis=0)
+        if 0 in cp_store:
+            cp_store[0][lo : lo + rows] = Z @ T.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b, P, W in plan:
+                zraw = reader.segment(a, b)
+                Z_next = Z @ P.T + zraw @ W
+                if not _finite(Z_next):
+                    maps = _step_maps(spec, pair, F, a, b)
+                    _replay(Z, *maps, zraw.reshape(rows, b - a, d), a, replicas)
+                Z = Z_next
+                if b in cp_store:
+                    cp_store[b][lo : lo + rows] = Z @ T.T
 
     if jobs <= 1 or len(chunks) == 1:
         for chunk in chunks:
@@ -667,8 +575,8 @@ def run_ensemble(
             k=c,
             beta=pair.slow.value(c),
             gamma=pair.fast.value(c),
-            theta_hat=cp_store[c][0],
-            r_hat=cp_store[c][1],
+            theta_hat=cp_store[c][:, :n],
+            r_hat=cp_store[c][:, n:],
         )
         for c in cps
     ]
@@ -682,17 +590,3 @@ def run_ensemble(
 def format_float(x: float) -> str:
     """17 significant digits: exact round-trip for binary64."""
     return f"{float(x):.17g}"
-
-
-def trajectory_csv_lines(spec: SystemSpec, states: list[TrajectoryState]) -> list[str]:
-    header = (
-        "k,"
-        + ",".join(f"theta_{i}" for i in range(spec.n))
-        + ","
-        + ",".join(f"r_{j}" for j in range(spec.m))
-    )
-    lines = [header]
-    for st in states:
-        vals = [str(st.k)] + [format_float(v) for v in st.theta] + [format_float(v) for v in st.r]
-        lines.append(",".join(vals))
-    return lines

@@ -12,7 +12,7 @@ class NonFinite(TwoScaleError):
 
 
 class SingularPencil(TwoScaleError):
-    """The vectorized Sylvester system is numerically singular."""
+    """The Sylvester equation has no numerically unique solution."""
 
 
 class NotPSD(TwoScaleError):

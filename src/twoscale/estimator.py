@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import InsufficientSamples, SingularPrediction
 from .linalg import factor_covariance, symmetrize
@@ -83,6 +82,8 @@ def standard_errors(
 
 def chi_square_cdf(x, dof: int) -> np.ndarray:
     """Regularized lower incomplete gamma evaluation of the chi-square law."""
+    from scipy.special import gammainc  # deferred: scipy.special slows every CLI start
+
     return gammainc(dof / 2.0, np.asarray(x, dtype=np.float64) / 2.0)
 
 

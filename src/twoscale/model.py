@@ -198,19 +198,28 @@ def delta_matrix(spec: SystemSpec) -> np.ndarray:
         raise SingularA22(str(exc)) from exc
 
 
+def centring_matrix(spec: SystemSpec) -> np.ndarray:
+    """Centring map T = [[I, 0], [A22^{-1} A21, I]] from fixed-point deviations.
+
+    T takes (theta - theta*, r - r*) to centered coordinates.  The centered
+    fast coordinate (r - r*) + A22^{-1} A21 (theta - theta*) equals r minus
+    its slow-conditional target A22^{-1} (b2 - A21 theta).
+    """
+    n, m = spec.n, spec.m
+    try:
+        coupling = np.linalg.solve(spec.A22, spec.A21)
+    except np.linalg.LinAlgError as exc:
+        raise SingularA22(str(exc)) from exc
+    return np.block([[np.eye(n), np.zeros((n, m))], [coupling, np.eye(m)]])
+
+
 def hat_transform(
     spec: SystemSpec, theta: np.ndarray, r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Centered coordinates: theta about its solution, r about its slow-conditional target."""
-    theta = _vector(theta, "theta")
-    r = _vector(r, "r")
-    theta_star, _ = fixed_point(spec)
-    theta_hat = theta - theta_star
-    try:
-        r_hat = r - np.linalg.solve(spec.A22, spec.b2 - spec.A21 @ theta)
-    except np.linalg.LinAlgError as exc:
-        raise SingularA22(str(exc)) from exc
-    return theta_hat, r_hat
+    z = np.concatenate([_vector(theta, "theta"), _vector(r, "r")])
+    hat = centring_matrix(spec) @ (z - np.concatenate(fixed_point(spec)))
+    return hat[: spec.n], hat[spec.n :]
 
 
 def averaging_system(A, b, Gamma) -> SystemSpec:

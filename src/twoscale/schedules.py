@@ -53,21 +53,12 @@ class StepSchedule:
             raise ValueError("step indices must be nonnegative")
         return self.base / (1.0 + ks / self.horizon_scale) ** self.exponent
 
-    def partial_sum(self, K: int) -> float:
-        """Sum of the first K step sizes (diverges as K grows for this family)."""
-        return float(np.sum(self.values(np.arange(K))))
-
     def to_dict(self) -> dict:
         return {"base": self.base, "tau": self.horizon_scale, "alpha": self.exponent}
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepSchedule":
         return cls(base=float(d["base"]), horizon_scale=float(d["tau"]), exponent=float(d["alpha"]))
-
-
-def step_value(schedule: StepSchedule, k: int) -> float:
-    """Step size of a schedule at iteration k."""
-    return schedule.value(k)
 
 
 def beta_bar_limit(schedule: StepSchedule) -> float:

@@ -50,9 +50,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.passed]
-
     def lines(self) -> list[str]:
         return [c.format() for c in self.checks]
 

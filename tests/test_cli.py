@@ -115,6 +115,19 @@ def test_predict_zero_noise_config(tmp_path):
     assert np.all(parsed["Sigma22"] == 0.0)
 
 
+def test_predict_refuses_single_time_scale_config(tmp_path, capsys):
+    doc = dict(SYS_A_DOC)
+    doc["beta"] = {"base": 0.5, "tau": 10.0, "alpha": 0.7}  # epsilon = 0.5
+    doc["gamma"] = {"base": 1.0, "tau": 10.0, "alpha": 0.7}
+    path = tmp_path / "single_scale.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["predict", "--config", str(path), "--out", str(tmp_path / "p.csv")]) == 2
+    captured = capsys.readouterr()
+    assert "time-scale-separation" in captured.out + captured.err
+
+
 def test_run_propagate_converges(sys_a_config, tmp_path, capsys):
     out_path = tmp_path / "trace.csv"
     code = cli.main(

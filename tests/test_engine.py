@@ -14,10 +14,9 @@ from twoscale import (
     reconstruct_original,
     run_ensemble,
     simulate,
-    simulate_gained,
     simulate_transformed,
 )
-from twoscale.engine import _ChunkNoise, noise_block_steps, trajectory_csv_lines
+from twoscale.engine import _ChunkNoise, _suffix_products, noise_block_steps
 from twoscale.errors import Diverged
 from twoscale.linalg import factor_covariance
 
@@ -131,49 +130,40 @@ def test_simulate_diverges_on_unstable_drift():
     assert 0 < info.value.step <= 500
 
 
-def test_simulate_gained_identity_gain_matches_plain(sys_a, sys_a_pair):
-    stream = noise_stream(sys_a, 3, 0)
-    plain = simulate(sys_a, sys_a_pair, None, 400, stream, record_stride=100)
-    gained = simulate_gained(sys_a, sys_a_pair, np.eye(1), None, 400, stream, record_stride=100)
-    for a, b in zip(plain, gained):
-        assert np.array_equal(a.theta, b.theta)
-        assert np.array_equal(a.r, b.r)
-
-
-def test_simulate_gained_zero_gain_freezes_slow(sys_a, sys_a_pair):
-    states = simulate_gained(
-        sys_a, sys_a_pair, np.zeros((1, 1)), ([0.5], [0.0]), 300, noise_stream(sys_a, 3, 0)
-    )
-    assert all(st.theta == pytest.approx([0.5]) for st in states)
-
-
-def test_simulate_gained_full_inverse_gain_moves_toward_solution(sys_a, sys_a_pair):
-    spec = zero_noise(sys_a)
-    G = np.linalg.inv(spec.block_matrix())
-    z0 = np.array([1.0, -1.0])
-    states = simulate_gained(spec, sys_a_pair, G, (z0[:1], z0[1:]), 1, noise_stream(spec, 0, 0))
-    beta0 = sys_a_pair.slow.value(0)
-    fp = np.array([-1.0, 3.0])
-    expected = z0 + beta0 * (fp - z0)
-    assert np.concatenate([states[-1].theta, states[-1].r]) == pytest.approx(expected)
-
-
-def test_simulate_gained_rejects_bad_shape(sys_a, sys_a_pair):
-    with pytest.raises(ValueError):
-        simulate_gained(sys_a, sys_a_pair, np.eye(3), None, 10, noise_stream(sys_a, 0, 0))
-
-
 def test_gained_system_matches_simulate_gained_without_noise(sys_a, sys_a_pair):
     from twoscale import gained_system
 
     spec = zero_noise(sys_a)
     G1 = np.array([[1.7]])
-    direct = simulate_gained(spec, sys_a_pair, G1, ([0.3], [0.1]), 200, noise_stream(spec, 0, 0))
+    K = 200
+    # Explicit recursion with the gain on the slow update direction.
+    theta, r = np.array([0.3]), np.array([0.1])
+    direct = [(theta, r)]
+    for k in range(K):
+        beta, gamma = sys_a_pair.slow.value(k), sys_a_pair.fast.value(k)
+        slow_dir = G1 @ (spec.b1 - spec.A11 @ theta - spec.A12 @ r)
+        fast_dir = spec.b2 - spec.A21 @ theta - spec.A22 @ r
+        theta, r = theta + beta * slow_dir, r + gamma * fast_dir
+        direct.append((theta, r))
     derived_spec = gained_system(spec, G1)
-    derived = simulate(derived_spec, sys_a_pair, ([0.3], [0.1]), 200, noise_stream(derived_spec, 0, 0))
-    for a, b in zip(direct, derived):
-        assert np.allclose(a.theta, b.theta, atol=1e-13)
-        assert np.allclose(a.r, b.r, atol=1e-13)
+    stream = noise_stream(derived_spec, 0, 0)
+    derived = simulate(derived_spec, sys_a_pair, ([0.3], [0.1]), K, stream)
+    assert len(derived) == len(direct)
+    for (theta, r), b in zip(direct, derived):
+        assert np.allclose(theta, b.theta, atol=1e-13)
+        assert np.allclose(r, b.r, atol=1e-13)
+
+
+def test_simulate_record_strides_agree(sys_a, sys_a_pair):
+    stream = noise_stream(sys_a, 8, 0)
+    K = 3000
+    every = {st.k: st for st in simulate(sys_a, sys_a_pair, None, K, stream, record_stride=1)}
+    sparse = simulate(sys_a, sys_a_pair, None, K, stream, record_stride=7)
+    assert [st.k for st in sparse] == list(range(0, K, 7)) + [K]
+    for st in sparse:
+        ref = np.concatenate([every[st.k].theta, every[st.k].r])
+        got = np.concatenate([st.theta, st.r])
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +212,22 @@ def test_transformed_reconstruction_random_systems():
             assert err <= 1e-8 * (1.0 + np.linalg.norm(ref_vec))
 
 
+@pytest.mark.parametrize("k0, stride", [(37, 7), (2100, 100)])
+def test_transformed_reconstruction_with_late_start(sys_a, k0, stride):
+    # The original recursion runs up to k0 (across a noise-tile edge in the
+    # second case) before the decoupled one takes over.
+    pair = SchedulePair(slow=StepSchedule(0.1, 10.0, 1.0), fast=StepSchedule(0.5, 10.0, 0.7))
+    stream = noise_stream(sys_a, 21, 0)
+    K = 3000
+    reference = {st.k: st for st in simulate(sys_a, pair, None, K, stream)}
+    run = simulate_transformed(sys_a, pair, K, stream, k0=k0, record_stride=stride)
+    assert run.k0 == k0 and run.states[0].k == k0 and run.states[-1].k == K
+    for st in reconstruct_original(sys_a, run):
+        ref_vec = np.concatenate([reference[st.k].theta, reference[st.k].r])
+        err = np.linalg.norm(np.concatenate([st.theta, st.r]) - ref_vec)
+        assert err <= 1e-10 * (1.0 + np.linalg.norm(ref_vec))
+
+
 def test_transformed_decouples_without_fast_to_slow_coupling(sys_a_pair):
     spec = SystemSpec(
         A11=[[2.0]], A12=[[1.0]], A21=[[0.0]], A22=[[1.0]], b1=[1.0], b2=[2.0],
@@ -229,6 +235,17 @@ def test_transformed_decouples_without_fast_to_slow_coupling(sys_a_pair):
     )
     run = simulate_transformed(spec, sys_a_pair, 300, noise_stream(spec, 0, 0))
     assert np.all(run.lseq.norms == 0.0)
+
+
+def test_simulate_transformed_diverges_on_unstable_drift():
+    spec = SystemSpec(
+        A11=[[-1.0]], A12=[[0.0]], A21=[[0.0]], A22=[[1.0]], b1=[0.0], b2=[0.0],
+        noise=NoiseSpec(Gamma11=[[1.0]], Gamma12=[[0.0]], Gamma22=[[1.0]]),
+    )
+    pair = SchedulePair(slow=StepSchedule(1.0, 1e6, 1.0), fast=StepSchedule(1.0, 1e6, 0.7))
+    with pytest.raises(Diverged) as info:
+        simulate_transformed(spec, pair, 500, noise_stream(spec, 0, 0), init=([1.0], [0.0]))
+    assert 0 < info.value.step <= 500
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +321,20 @@ def test_propagate_converges_to_prediction(sys_a, sys_a_pair):
     pred = predict_full(sys_a, sys_a_pair.beta_bar)
     err = np.linalg.norm(trace[-1].Sigma11 - pred.Sigma11) / np.linalg.norm(pred.Sigma11)
     assert err < 0.05
+
+
+def test_propagate_checkpoint_sets_agree(sys_a_pair):
+    rng = np.random.default_rng(31)
+    spec = random_stable_system(rng, n=2, m=3)
+    K = 5000
+    z = rng.standard_normal(5)
+    dense = sorted(set(rng.integers(1, K, size=40).tolist()) | {1, 2, 3, K})
+    single = propagate_covariance(spec, sys_a_pair, np.outer(z, z), K, [K])[-1]
+    many = propagate_covariance(spec, sys_a_pair, np.outer(z, z), K, dense)
+    assert [cp.k for cp in many] == dense
+    for block in ("Sigma11", "Sigma12", "Sigma22"):
+        ref = getattr(single, block)
+        assert np.linalg.norm(getattr(many[-1], block) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_propagate_rejects_indefinite_start(sys_a, sys_a_pair):
@@ -399,11 +430,18 @@ def test_ensemble_requires_two_replicas(sys_a, mc_pair):
         run_ensemble(sys_a, mc_pair, 1, 10, [10], base_seed=0)
 
 
-def test_trajectory_csv_lines_round_trip(sys_a, sys_a_pair):
-    states = simulate(sys_a, sys_a_pair, None, 50, noise_stream(sys_a, 0, 0), record_stride=25)
-    lines = trajectory_csv_lines(sys_a, states)
-    assert lines[0] == "k,theta_0,r_0"
-    k, theta, r = lines[-1].split(",")
-    assert int(k) == 50
-    assert float(theta) == states[-1].theta[0]
-    assert float(r) == states[-1].r[0]
+# ---------------------------------------------------------------------------
+# segment kernel
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 5, 8, 409, 682, 2048])
+def test_suffix_products_match_naive_loop(L):
+    rng = np.random.default_rng(L)
+    d = 3
+    # Near-identity factors like the step maps, so long products stay bounded.
+    M = np.eye(d) + 0.05 * rng.standard_normal((L, d, d))
+    S = _suffix_products(M.copy())
+    R = np.eye(d)
+    for j in range(L - 1, -1, -1):
+        R = R @ M[j]
+        assert np.linalg.norm(S[j] - R) <= 1e-12 * np.linalg.norm(R)

@@ -3,23 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from twoscale import SchedulePair, StepSchedule, beta_bar_limit, epsilon_limit, step_value
+from twoscale import SchedulePair, StepSchedule, beta_bar_limit, epsilon_limit
 from twoscale.errors import DivergentRatio
 from twoscale.schedules import validate_schedules
 
 
 def test_step_value_at_zero_is_base():
-    assert step_value(StepSchedule(1.0, 1.0, 1.0), 0) == 1.0
+    assert StepSchedule(1.0, 1.0, 1.0).value(0) == 1.0
 
 
 def test_step_value_halves_at_horizon():
-    assert step_value(StepSchedule(0.5, 10.0, 1.0), 10) == pytest.approx(0.25, abs=1e-15)
+    assert StepSchedule(0.5, 10.0, 1.0).value(10) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_step_value_sublinear_exponent():
     # 1000**(-0.6) evaluated through logs as an independent route
     expected = math.exp(-0.6 * math.log(1000.0))
-    assert step_value(StepSchedule(1.0, 1.0, 0.6), 999) == pytest.approx(expected, rel=1e-13)
+    assert StepSchedule(1.0, 1.0, 0.6).value(999) == pytest.approx(expected, rel=1e-13)
     assert expected == pytest.approx(0.015848931924611134, rel=1e-12)
 
 
@@ -51,9 +51,9 @@ def test_values_positive_nonincreasing_and_vanishing():
 
 def test_partial_sums_grow_without_bound():
     sched = StepSchedule(1.0, 1.0, 1.0)
-    s1 = sched.partial_sum(10**4)
-    s2 = sched.partial_sum(2 * 10**4)
-    s3 = sched.partial_sum(4 * 10**4)
+    s1 = sched.values(np.arange(10**4)).sum()
+    s2 = sched.values(np.arange(2 * 10**4)).sum()
+    s3 = sched.values(np.arange(4 * 10**4)).sum()
     # each doubling adds about log(2) for the 1/k family
     assert s2 - s1 > 0.5
     assert s3 - s2 > 0.5
