@@ -277,7 +277,10 @@ def _run_transformed_check(cfg: RunConfig) -> int:
         err = float(np.linalg.norm(new_vec - ref_vec) / (1.0 + np.linalg.norm(ref_vec)))
         worst = max(worst, err)
     print(f"max relative reconstruction error over {len(rebuilt)} recorded states: {worst:.3e}")
-    print(f"decoupling start index: {run.k0}; final decoupling norm {run.lseq.final_norm:.3e}")
+    print(
+        f"decoupling start index: {run.k0} after {run.lseq.retries} retries; "
+        f"final decoupling norm {run.lseq.final_norm:.3e}"
+    )
     return EXIT_OK if worst <= TRANSFORMED_TOL else EXIT_TOLERANCE
 
 

@@ -10,8 +10,8 @@ recursion has its own block-triangular maps.  `_compose` turns the maps of
 one segment of L steps into a single pair (P, W) with z_b = P z_a + W' u,
 u the segment's inputs flattened step-major: P = M_{L-1} ... M_0, and W
 stacks (R_j N_j)' for the suffix products R_j = M_{L-1} ... M_{j+1}.
-`_suffix_products` computes those products with an odd-even scan (Blelloch
-1990): O(L d^3) work in O(log L) batched matrix products.
+`linalg._suffix_products` computes those products with an odd-even scan
+(Blelloch 1990): O(L d^3) work in O(log L) batched matrix products.
 
 Segments end at every noise-tile edge and at every checkpoint or recorded
 step, so each segment reads inside one tile and every reported state is the
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Diverged, NotPSD
-from .linalg import factor_covariance, symmetrize
+from .linalg import _suffix_products, factor_covariance, symmetrize
 from .model import SystemSpec, centring_matrix, delta_matrix, fixed_point
 from .schedules import SchedulePair
 from .theory import LSequence, l_sequence
@@ -134,7 +134,11 @@ class _ChunkNoise:
 
 @dataclass
 class NoiseStream:
-    """Per-replica noise view mapping standardized draws through a joint factor."""
+    """Per-replica noise view mapping standardized draws through a joint factor.
+
+    Keeps this replica's row of every tile it has generated, K * dim floats
+    for K steps read, so reading a range again generates nothing.
+    """
 
     base_seed: int
     replica: int
@@ -142,20 +146,28 @@ class NoiseStream:
     distribution: str = "gaussian"
 
     def __post_init__(self):
-        self._reader: _ChunkNoise | None = None
+        self._rows: dict[int, np.ndarray] = {}  # block index -> (block, dim) draws
 
     @property
     def dim(self) -> int:
         return self.factor.shape[0]
 
+    def _row(self, block_idx: int) -> np.ndarray:
+        row = self._rows.get(block_idx)
+        if row is None:
+            chunk_idx, r = divmod(self.replica, NOISE_CHUNK)
+            tile = _standard_tile(self.base_seed, chunk_idx, block_idx, self.dim, self.distribution)
+            row = self._rows[block_idx] = tile[r].reshape(-1, self.dim).copy()
+        return row
+
     def standard_range(self, a: int, b: int) -> np.ndarray:
         """Standardized draws of this replica for steps [a, b), shape (b-a, dim)."""
-        chunk_idx, row = divmod(self.replica, NOISE_CHUNK)
-        if self._reader is None:
-            self._reader = _ChunkNoise(
-                self.base_seed, chunk_idx, NOISE_CHUNK, self.dim, self.distribution
-            )
-        return self._reader.segment(a, b)[row].reshape(b - a, self.dim)
+        block = noise_block_steps(self.dim)
+        parts = [
+            self._row(i)[max(a - i * block, 0) : b - i * block]
+            for i in range(a // block, -(-b // block))
+        ]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def draws(self, K: int) -> np.ndarray:
         """All correlated draws for steps 0..K-1 in one array."""
@@ -174,21 +186,6 @@ def noise_stream(spec: SystemSpec, base_seed: int, replica: int) -> NoiseStream:
 
 # ---------------------------------------------------------------------------
 # segment kernel
-
-
-def _suffix_products(S: np.ndarray) -> np.ndarray:
-    """Overwrite an (L, d, d) stack M_j with its suffix products M_{L-1} ... M_j.
-
-    Odd-even scan: each even entry absorbs its odd neighbour, the even
-    entries (a strided view) are scanned recursively, then each odd entry
-    takes one product with the even suffix after it.
-    """
-    L = len(S)
-    if L > 1:
-        S[0 : L - 1 : 2] = S[1::2] @ S[0 : L - 1 : 2]
-        _suffix_products(S[0::2])
-        S[1 : L - 1 : 2] = S[2::2] @ S[1 : L - 1 : 2]
-    return S
 
 
 def _compose(M: np.ndarray, N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

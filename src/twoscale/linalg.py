@@ -1,4 +1,4 @@
-"""Small dense matrix kernels: spectral checks, Sylvester solves, covariance factors.
+"""Small dense matrix kernels: spectral checks, Sylvester solves, product scans, covariance factors.
 
 Sylvester equations go to scipy's Bartels-Stewart solver (1972), which
 reduces both coefficients to Schur form: O(p^3 + q^3) time and O(pq)
@@ -7,6 +7,9 @@ Each solution is then checked against the equation itself, so a singular or
 ill-conditioned pencil fails loudly instead of returning garbage.  All
 tolerances are relative to (1 + norm of the data) so they behave sensibly
 near zero.
+
+`_suffix_products` is the associative scan behind both the engine's segment
+kernel and the linearized decoupling recursion in `theory`.
 """
 
 from __future__ import annotations
@@ -95,6 +98,21 @@ def solve_sylvester(A, B, C) -> np.ndarray:
             f"Sylvester pencil singular or ill-conditioned: residual {resid:.3e} exceeds tolerance"
         )
     return X
+
+
+def _suffix_products(S: np.ndarray) -> np.ndarray:
+    """Overwrite an (L, d, d) stack M_j with its suffix products M_{L-1} ... M_j.
+
+    Odd-even scan: each even entry absorbs its odd neighbour, the even
+    entries (a strided view) are scanned recursively, then each odd entry
+    takes one product with the even suffix after it.
+    """
+    L = len(S)
+    if L > 1:
+        S[0 : L - 1 : 2] = S[1::2] @ S[0 : L - 1 : 2]
+        _suffix_products(S[0::2])
+        S[1 : L - 1 : 2] = S[2::2] @ S[1 : L - 1 : 2]
+    return S
 
 
 def factor_covariance(G) -> np.ndarray:

@@ -25,6 +25,13 @@ Minimizing over G in the semidefinite order gives G = Delta^{-1} with value
 Delta^{-1} Q Delta^{-T}, which also equals the slow block of the covariance
 attained by the best full-block gain (the inverse of the whole coefficient
 matrix) in the single-time-scale iteration.
+
+Decoupling sequence: the matrices L_k that remove the slow iterate from the
+fast update solve a discrete Riccati recursion.  `l_sequence` runs it in the
+linear form L_k = Y_k X_k^{-1} (Radon; Reid 1972) on the associative scan
+`linalg._suffix_products`, and gates every scanned step on its residual in
+the Riccati recursion itself, falling back to shorter blocks down to one
+direct solve per step.
 """
 
 from __future__ import annotations
@@ -218,11 +225,16 @@ def parse_matrix_csv(lines) -> dict[str, np.ndarray]:
 
 @dataclass
 class LSequence:
-    """Decoupling matrices L_k with start index k0; zero for k below k0."""
+    """Decoupling matrices L_k with start index k0; zero for k below k0.
+
+    retries counts the start indices abandoned for a singular step before
+    k0 was reached.
+    """
 
     k0: int
     values: np.ndarray  # (K - k0 + 1, m, n), entry j is L_{k0 + j}
     norms: np.ndarray  # Frobenius norms per step
+    retries: int = 0
 
     @property
     def K(self) -> int:
@@ -241,6 +253,15 @@ class LSequence:
         return float(self.norms[-1])
 
 
+# A scanned step is accepted when its recursion residual is at most
+# _GATE_TOL * (||L_k|| + ||L_{k+1}||); blocks grow by doubling up to _BLOCK_CAP.
+_GATE_TOL = 1e-13
+_BLOCK_CAP = 1024
+# A near-singular step factor shows up as amplification of L, which the
+# decoupling recursion otherwise keeps below order one.
+_NORM_LIMIT = 1e6
+
+
 def l_sequence(
     spec: SystemSpec,
     pair: SchedulePair,
@@ -251,52 +272,124 @@ def l_sequence(
 ) -> LSequence:
     """Run the decoupling recursion from L_{k0} = 0 up to L_K.
 
-    Each step solves L_{k+1} (I - beta_k B11_k) = L_k - gamma_k A22 L_k
-    + beta_k A22^{-1} A21 B11_k with B11_k = Delta - A12 L_k.  A numerically
-    singular step factor means k0 is too small; with retry enabled the start
-    index doubles (0, 1, 2, 4, ...) up to max_k0 before giving up.
+    Each step satisfies L_{k+1} (I - beta_k B11_k) = L_k - gamma_k A22 L_k
+    + beta_k H B11_k with B11_k = Delta - A12 L_k and H = A22^{-1} A21.  The
+    recursion is a discrete Riccati equation; writing L_k = Y_k X_k^{-1}
+    linearizes it (Radon; Reid 1972) to [X; Y]_{k+1} = Phi_k [X; Y]_k with
+
+        Phi_k = [[I - beta_k Delta,  beta_k A12                        ],
+                 [beta_k H Delta,    I - gamma_k A22 - beta_k H A12    ]].
+
+    Steps are taken in blocks: from [I; L_a], one suffix-product scan gives
+    every prefix product of the block's Phi_k and one batched solve gives
+    L = Y X^{-1} at each step.  Products lose precision as a block spans
+    more step-size mass, so each step is checked against the recursion
+    itself and the block is kept only up to its first step whose residual
+    exceeds a fixed tolerance relative to ||L_k|| + ||L_{k+1}||.  Block
+    lengths start at one, double after a fully accepted block up to a cap,
+    and halve otherwise.  A block of one step is the direct solve above.
+
+    A singular step factor (a failed solve, or ||L_{k+1}|| non-finite or
+    above 1e6) means k0 is too small; with retry enabled the start index
+    doubles (0, 1, 2, 4, ...) while it stays within both K and max_k0, and
+    SingularStep is raised once it would pass either.
     """
     if K < k0:
         raise ValueError(f"K={K} must be at least k0={k0}")
-    start = k0
+    start, retries = k0, 0
     while True:
         try:
-            return _l_sequence_run(spec, pair, K, start)
+            seq = _l_sequence_run(spec, pair, K, start)
         except SingularStep:
-            if not retry or start >= max_k0:
-                raise
             start = 1 if start == 0 else 2 * start
+            if not retry or start > min(K, max_k0):
+                raise
+            retries += 1
+        else:
+            seq.retries = retries
+            return seq
 
 
 def _l_sequence_run(spec: SystemSpec, pair: SchedulePair, K: int, k0: int) -> LSequence:
     n, m = spec.n, spec.m
     delta = delta_matrix(spec)
-    A22_inv_A21 = np.linalg.solve(spec.A22, spec.A21)
-    eye_n = np.eye(n)
+    H = np.linalg.solve(spec.A22, spec.A21)
 
     steps = K - k0
-    betas = pair.slow.values(np.arange(k0, K))
-    gammas = pair.fast.values(np.arange(k0, K))
+    ks = np.arange(k0, K)
+    beta = pair.slow.values(ks)[:, None, None]
+    gamma = pair.fast.values(ks)[:, None, None]
+    phi = np.empty((steps, n + m, n + m))
+    phi[:, :n, :n] = np.eye(n) - beta * delta
+    phi[:, :n, n:] = beta * spec.A12
+    phi[:, n:, :n] = beta * (H @ delta)
+    phi[:, n:, n:] = np.eye(m) - gamma * spec.A22 - beta * (H @ spec.A12)
 
-    values = np.empty((steps + 1, m, n))
-    norms = np.empty(steps + 1)
-    L = np.zeros((m, n))
-    values[0] = L
-    norms[0] = 0.0
-    for j in range(steps):
-        beta, gamma = betas[j], gammas[j]
-        B11 = delta - spec.A12 @ L
-        factor = eye_n - beta * B11
-        rhs = L - gamma * (spec.A22 @ L) + beta * (A22_inv_A21 @ B11)
-        try:
-            L = np.linalg.solve(factor.T, rhs.T).T
-        except np.linalg.LinAlgError as exc:
-            raise SingularStep(k0 + j) from exc
-        norm = float(np.linalg.norm(L))
-        # A near-singular step factor shows up as amplification of L, which
-        # the decoupling recursion otherwise keeps below order one.
-        if not np.isfinite(norm) or norm > 1e6:
-            raise SingularStep(k0 + j)
-        values[j + 1] = L
-        norms[j + 1] = norm
+    values = np.zeros((steps + 1, m, n))
+    norms = np.zeros(steps + 1)
+    a, length = 0, 1
+    while a < steps:
+        b = min(steps, a + length)
+        if b - a == 1:
+            values[b], norms[b] = _direct_step(
+                spec, delta, H, beta[a, 0, 0], gamma[a, 0, 0], values[a], k0 + a
+            )
+            accepted = 1
+        else:
+            accepted = _scan_block(
+                spec, delta, H, phi[a:b], beta[a:b], gamma[a:b], values[a : b + 1], norms[a : b + 1]
+            )
+        length = min(_BLOCK_CAP, 2 * length) if accepted == b - a else max(1, length // 2)
+        a += accepted
     return LSequence(k0=k0, values=values, norms=norms)
+
+
+def _direct_step(spec: SystemSpec, delta, H, beta: float, gamma: float, L, k: int):
+    """(L_{k+1}, its norm) from L_k by one solve with the step factor.
+
+    Raises SingularStep(k) when the factor is singular.
+    """
+    B11 = delta - spec.A12 @ L
+    factor = np.eye(spec.n) - beta * B11
+    rhs = L - gamma * (spec.A22 @ L) + beta * (H @ B11)
+    try:
+        L_next = np.linalg.solve(factor.T, rhs.T).T
+    except np.linalg.LinAlgError as exc:
+        raise SingularStep(k) from exc
+    norm = float(np.linalg.norm(L_next))
+    if not np.isfinite(norm) or norm > _NORM_LIMIT:
+        raise SingularStep(k)
+    return L_next, norm
+
+
+def _recursion_residuals(spec: SystemSpec, delta, H, beta, gamma, L, L_next) -> np.ndarray:
+    """Norms of L_{k+1} (I - beta_k B11_k) - (L_k - gamma_k A22 L_k + beta_k H B11_k), per step."""
+    B11 = delta - spec.A12 @ L
+    r = L_next - L_next @ (beta * B11) - L + gamma * (spec.A22 @ L) - beta * (H @ B11)
+    return np.linalg.norm(r, axis=(1, 2))
+
+
+def _scan_block(spec: SystemSpec, delta, H, phi, beta, gamma, values, norms) -> int:
+    """Extend values[0] = L_a through one block of maps phi; return the steps accepted.
+
+    The accepted steps are written to values[1:] and norms[1:].
+    """
+    n = spec.n
+    # Suffix products of the reversed transposes are the transposed prefix
+    # products: Pt[j] = (Phi_j ... Phi_0)'.
+    Pt = linalg._suffix_products(phi[::-1].transpose(0, 2, 1).copy())[::-1]
+    XYt = Pt[:, :n] + values[0].T @ Pt[:, n:]  # [X' Y'] after each step
+    with np.errstate(all="ignore"):
+        try:
+            L = np.linalg.solve(XYt[:, :, :n], XYt[:, :, n:]).transpose(0, 2, 1)
+        except np.linalg.LinAlgError:
+            return 0
+        norm = np.linalg.norm(L, axis=(1, 2))
+        prev = np.concatenate([values[:1], L[:-1]])
+        resid = _recursion_residuals(spec, delta, H, beta, gamma, prev, L)
+        scale = np.concatenate([norms[:1], norm[:-1]]) + norm
+        ok = (resid <= _GATE_TOL * scale) & (norm <= _NORM_LIMIT)
+    accepted = len(ok) if ok.all() else int(np.argmin(ok))
+    values[1 : accepted + 1] = L[:accepted]
+    norms[1 : accepted + 1] = norm[:accepted]
+    return accepted

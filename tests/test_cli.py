@@ -176,6 +176,27 @@ def test_run_transformed_check(sys_a_config):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "tau, steps, code, expected",
+    [
+        (1.0, "40", 0, "decoupling start index: 1 after 1 retries"),
+        (1e12, "3", 2, "singular at step"),
+    ],
+)
+def test_run_transformed_check_reports_start_retries(tmp_path, capsys, tau, steps, code, expected):
+    # Unit first steps make step 0 singular: tau 1 recovers from k0 = 1,
+    # tau 1e12 keeps every start singular until the retry passes K.
+    doc = dict(SYS_A_DOC)
+    doc["beta"] = {"base": 1.0, "tau": tau, "alpha": 1.0}
+    doc["gamma"] = {"base": 1.0, "tau": tau, "alpha": 0.7}
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    argv = ["run", "--config", str(path), "--mode", "transformed-check", "--skip-validate"]
+    assert cli.main(argv + ["--steps", steps]) == code
+    captured = capsys.readouterr()
+    assert expected in captured.out + captured.err
+
+
 def test_run_divergent_config_reports_step(tmp_path, capsys):
     doc = dict(SYS_A_DOC)
     doc["A11"] = [[-2.0]]  # reduced drift -3: unstable

@@ -16,6 +16,7 @@ from twoscale import (
     simulate,
     simulate_transformed,
 )
+from twoscale import engine
 from twoscale.engine import _ChunkNoise, _suffix_products, noise_block_steps
 from twoscale.errors import Diverged
 from twoscale.linalg import factor_covariance
@@ -60,6 +61,29 @@ def test_noise_stream_spans_tiles(sys_a):
     window = stream.standard_range(a, b)
     whole = stream.standard_range(0, b)
     assert np.array_equal(window, whole[a:])
+
+
+def test_noise_stream_generates_each_tile_once(sys_a, monkeypatch):
+    calls = []
+    tile = engine._standard_tile
+
+    def counting_tile(*args):
+        calls.append(args)
+        return tile(*args)
+
+    monkeypatch.setattr(engine, "_standard_tile", counting_tile)
+    block = noise_block_steps(2)
+    b = 3 * block + 7
+    stream = noise_stream(sys_a, 11, 70)
+    first = stream.standard_range(0, b)
+    assert len(calls) == 4
+    assert np.array_equal(stream.standard_range(0, b), first)
+    lo, hi = block - 3, 2 * block + 1
+    assert np.array_equal(stream.standard_range(lo, hi), first[lo:hi])
+    assert len(calls) == 4
+    # The same draws as the ensemble's chunk reader for that replica.
+    chunk = _ChunkNoise(11, 1, 64, 2, "gaussian").segment(0, b)
+    assert np.array_equal(first, chunk[6].reshape(b, 2))
 
 
 def test_noise_empirical_covariance_matches_joint():

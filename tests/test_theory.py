@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from twoscale import (
 )
 from twoscale.errors import AssumptionViolation, SingularStep
 from twoscale.linalg import solve_sylvester
+from twoscale import theory
 from twoscale.theory import matrix_csv_lines, parse_matrix_csv
 
 
@@ -243,6 +246,125 @@ def test_l_sequence_at_returns_zero_before_start(sys_a, sys_a_pair):
     seq = l_sequence(sys_a, sys_a_pair, K=10, k0=4, retry=False)
     assert np.array_equal(seq.at(2), np.zeros((1, 1)))
     assert seq.at(4) is seq.values[0] or np.array_equal(seq.at(4), seq.values[0])
+
+
+def loop_l_sequence(spec, pair, K, k0=0, retry=True):
+    """Reference: the decoupling recursion one solve per step, with the start-index retry."""
+    n = spec.n
+    delta = delta_matrix(spec)
+    H = np.linalg.solve(spec.A22, spec.A21)
+    while True:
+        values = [np.zeros((spec.m, n))]
+        try:
+            for k in range(k0, K):
+                L = values[-1]
+                beta, gamma = pair.slow.value(k), pair.fast.value(k)
+                B11 = delta - spec.A12 @ L
+                rhs = L - gamma * (spec.A22 @ L) + beta * (H @ B11)
+                try:
+                    L_next = np.linalg.solve((np.eye(n) - beta * B11).T, rhs.T).T
+                except np.linalg.LinAlgError as exc:
+                    raise SingularStep(k) from exc
+                if not np.linalg.norm(L_next) <= 1e6:
+                    raise SingularStep(k)
+                values.append(L_next)
+            return k0, np.array(values)
+        except SingularStep:
+            k0 = 1 if k0 == 0 else 2 * k0
+            if not retry or k0 > K:
+                raise
+
+
+def recursion_residuals(spec, pair, seq):
+    """Per-step residual norms of the recursion, relative to 1 + ||L_k|| + ||L_{k+1}||."""
+    delta = delta_matrix(spec)
+    H = np.linalg.solve(spec.A22, spec.A21)
+    out = []
+    for j, k in enumerate(range(seq.k0, seq.K)):
+        beta, gamma = pair.slow.value(k), pair.fast.value(k)
+        L, L_next = seq.values[j], seq.values[j + 1]
+        B11 = delta - spec.A12 @ L
+        r = L_next @ (np.eye(spec.n) - beta * B11) - (L - gamma * (spec.A22 @ L) + beta * (H @ B11))
+        out.append(np.linalg.norm(r) / (1.0 + np.linalg.norm(L) + np.linalg.norm(L_next)))
+    return np.array(out)
+
+
+CRITERION_5_PAIR = SchedulePair(
+    slow=StepSchedule(0.1, 10.0, 1.0), fast=StepSchedule(0.5, 10.0, 0.7)
+)
+
+
+def _criterion_5_system(index):
+    # The criterion-5 draws; index 11 has an early ||L|| near 480.
+    rng = np.random.default_rng(1005)
+    for _ in range(index + 1):
+        spec = random_stable_system(rng, n=int(rng.integers(1, 4)), m=int(rng.integers(1, 4)))
+    return spec
+
+
+@pytest.mark.parametrize(
+    "index",
+    [None, 0, 2, 5, 8, 11],
+    ids=["system-a", "random-0", "random-2", "random-5", "random-8", "random-11"],
+)
+def test_l_sequence_matches_explicit_loop(sys_a, index, monkeypatch):
+    spec = sys_a if index is None else _criterion_5_system(index)
+    K = 3000
+    rejected = []
+    scan = theory._scan_block
+
+    def counting_scan(spec, delta, H, phi, *args):
+        accepted = scan(spec, delta, H, phi, *args)
+        rejected.append(accepted < len(phi))
+        return accepted
+
+    monkeypatch.setattr(theory, "_scan_block", counting_scan)
+    seq = l_sequence(spec, CRITERION_5_PAIR, K=K)
+    k0, ref = loop_l_sequence(spec, CRITERION_5_PAIR, K)
+    assert seq.k0 == k0
+    scale = float(np.max(np.linalg.norm(ref, axis=(1, 2))))
+    assert np.max(np.abs(seq.values - ref)) <= 1e-6 * scale
+    assert np.max(recursion_residuals(spec, CRITERION_5_PAIR, seq)) <= 1e-12
+    if index == 11:
+        assert scale > 100 and any(rejected)
+
+
+@pytest.mark.parametrize("case", ["first-step", "inside-block"])
+def test_l_sequence_singular_step_matches_loop(sys_a, case):
+    if case == "first-step":
+        # slow base 1 makes the k=0 step factor exactly singular (beta_0 B11 = 1)
+        spec, retries = sys_a, 1
+        pair = SchedulePair(slow=StepSchedule(1.0, 1.0, 1.0), fast=StepSchedule(1.0, 1.0, 0.7))
+    else:
+        # Without fast-to-slow coupling L stays zero and B11 = Delta = 1, so
+        # beta_5 = 1 makes step 5 singular inside the scanned block [3, 7).
+        spec, retries = replace(sys_a, A11=np.ones((1, 1)), A21=np.zeros((1, 1))), 4
+        pair = SchedulePair(slow=StepSchedule(6.0, 1.0, 1.0), fast=StepSchedule(1.0, 1.0, 0.7))
+    with pytest.raises(SingularStep) as ref_exc:
+        loop_l_sequence(spec, pair, K=50, retry=False)
+    with pytest.raises(SingularStep) as exc:
+        l_sequence(spec, pair, K=50, retry=False)
+    assert exc.value.step == ref_exc.value.step
+    k0, ref = loop_l_sequence(spec, pair, K=50)
+    seq = l_sequence(spec, pair, K=50)
+    assert (seq.k0, seq.retries) == (k0, retries)
+    assert np.max(np.abs(seq.values - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("K", [3, 5, 50])
+def test_l_sequence_retry_stops_at_K(sys_a, K):
+    # Unit steps make every start index singular; the retry must give up
+    # with SingularStep once the next start would pass K.
+    pair = SchedulePair(slow=StepSchedule(1.0, 1e12, 1.0), fast=StepSchedule(1.0, 1e12, 0.7))
+    with pytest.raises(SingularStep):
+        l_sequence(sys_a, pair, K=K)
+
+
+def test_l_sequence_empty_when_K_equals_start(sys_a, sys_a_pair):
+    seq = l_sequence(sys_a, sys_a_pair, K=6, k0=6)
+    assert (seq.k0, seq.K, seq.retries) == (6, 6, 0)
+    assert np.array_equal(seq.values, np.zeros((1, 1, 1)))
+    assert seq.final_norm == 0.0
 
 
 def test_prediction_structured_export(sys_a):
