@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,15 +71,10 @@ class RunConfig:
 def load_config(path: str, args=None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    system = SystemSpec.from_dict(doc)
-    schedules = SchedulePair(
-        slow=StepSchedule.from_dict(doc["beta"]),
-        fast=StepSchedule.from_dict(doc["gamma"]),
-    )
     run = doc.get("run", {})
     cfg = RunConfig(
-        system=system,
-        schedules=schedules,
+        system=SystemSpec.from_dict(doc),
+        schedules=SchedulePair.from_dict(doc),
         replicas=int(run.get("replicas", 1000)),
         steps=int(run.get("steps", 10000)),
         seed=int(run.get("seed", 0)),
@@ -103,6 +99,24 @@ def geometric_checkpoints(K: int) -> list[int]:
         c *= 10
     cps.append(K)
     return sorted(set(cps))
+
+
+def _csv_lines(header: list[str], rows: Iterable[tuple]) -> list[str]:
+    """CSV lines: the header, then one line per row.
+
+    The first row fixes the format of every row: floats carry 17
+    significant digits, so parsing the text back reproduces each binary64
+    value exactly, and every other value is written with str.  Rows may be
+    a generator, so a large table is never held as tuples and text at once.
+    """
+    lines = [",".join(header)]
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first)
+        lines.append(fmt % first)
+        lines += [fmt % row for row in rows]
+    return lines
 
 
 def _write_lines(lines: list[str], out: str | None) -> None:
@@ -160,20 +174,24 @@ def cmd_predict(args) -> int:
     discrepancy = float(np.linalg.norm(pred.Sigma11 - reduced)) / scale
     print(f"full-vs-reduced slow-block discrepancy: {discrepancy:.3e}")
 
-    lines = theory.matrix_csv_lines(
-        {
-            "Delta": pred.Delta,
-            "Q": pred.Q,
-            "Sigma11": pred.Sigma11,
-            "Sigma12": pred.Sigma12,
-            "Sigma22": pred.Sigma22,
-            "Sigma11_reduced": reduced,
-            "Sigma11_opt": opt_cov,
-            "G1_opt": g1_opt,
-            "G_opt": g_opt,
-        }
+    matrices = {
+        "Delta": pred.Delta,
+        "Q": pred.Q,
+        "Sigma11": pred.Sigma11,
+        "Sigma12": pred.Sigma12,
+        "Sigma22": pred.Sigma22,
+        "Sigma11_reduced": reduced,
+        "Sigma11_opt": opt_cov,
+        "G1_opt": g1_opt,
+        "G_opt": g_opt,
+    }
+    rows = (
+        (name, i, j, v)
+        for name, M in matrices.items()
+        for i, row in enumerate(M.tolist())
+        for j, v in enumerate(row)
     )
-    _write_lines(lines, cfg.out)
+    _write_lines(_csv_lines(["matrix", "row", "col", "value"], rows), cfg.out)
     if discrepancy >= PREDICT_CONSISTENCY_TOL:
         print("solver routes disagree beyond tolerance")
         return EXIT_INTERNAL
@@ -201,12 +219,11 @@ def _covariance_lines(cfg: RunConfig, rows) -> list[str]:
     header += [f"S11_{i}_{j}" for i in range(n) for j in range(n)]
     header += [f"S12_{i}_{j}" for i in range(n) for j in range(m)]
     header += [f"S22_{i}_{j}" for i in range(m) for j in range(m)]
-    lines = [",".join(header)]
-    for k, beta, gamma, *blocks in rows:
-        vals = [str(k), engine.format_float(beta), engine.format_float(gamma)]
-        vals += [engine.format_float(v) for block in blocks for v in np.asarray(block).ravel()]
-        lines.append(",".join(vals))
-    return lines
+    flat = (
+        (k, beta, gamma, *np.concatenate([np.ravel(b) for b in blocks]).tolist())
+        for k, beta, gamma, *blocks in rows
+    )
+    return _csv_lines(header, flat)
 
 
 def _entrywise_pass(est, pred, se, rel_tol=ENSEMBLE_REL_TOL, se_factor=ENSEMBLE_SE_FACTOR) -> bool:
@@ -251,10 +268,7 @@ def _run_normality(cfg: RunConfig) -> int:
         print(line)
     if cfg.out:
         row = report.csv_row()
-        _write_lines(
-            [",".join(row.keys()), ",".join(engine.format_float(v) if isinstance(v, float) else str(v) for v in row.values())],
-            cfg.out,
-        )
+        _write_lines(_csv_lines(list(row), [tuple(row.values())]), cfg.out)
     return EXIT_OK if report.passed else EXIT_TOLERANCE
 
 

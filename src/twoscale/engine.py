@@ -578,12 +578,3 @@ def run_ensemble(
         for c in cps
     ]
     return EnsembleResult(base_seed=base_seed, replicas=N, K=K, checkpoints=samples)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def format_float(x: float) -> str:
-    """17 significant digits: exact round-trip for binary64."""
-    return f"{float(x):.17g}"

@@ -255,37 +255,24 @@ def averaging_system(A, b, Gamma) -> SystemSpec:
 def gained_system(spec: SystemSpec, G1) -> SystemSpec:
     """System whose dynamics equal the original with gain G1 on the slow update.
 
-    Multiplying the slow update by G1 rescales the slow coefficient row and
-    maps the slow noise V to G1 V, so the gained dynamics are exactly those
-    of this derived system and every estimator applies unchanged.
+    This is the full-block gain diag(G1, I_m): it rescales the slow
+    coefficient row and maps the slow noise V to G1 V, so the gained
+    dynamics are exactly those of the derived system and every estimator
+    applies unchanged.
     """
     G1 = linalg.as_matrix(G1, "G1")
-    n = spec.n
+    n, m = spec.n, spec.m
     if G1.shape != (n, n):
         raise ValueError(f"G1 must be {n}x{n}, got {G1.shape}")
-    noise = spec.noise
-    return SystemSpec(
-        A11=G1 @ spec.A11,
-        A12=G1 @ spec.A12,
-        A21=spec.A21,
-        A22=spec.A22,
-        b1=G1 @ spec.b1,
-        b2=spec.b2,
-        noise=NoiseSpec(
-            Gamma11=linalg.symmetrize(G1 @ noise.Gamma11 @ G1.T),
-            Gamma12=G1 @ noise.Gamma12,
-            Gamma22=noise.Gamma22,
-            distribution=noise.distribution,
-        ),
-    )
+    G = np.block([[G1, np.zeros((n, m))], [np.zeros((m, n)), np.eye(m)]])
+    return fully_gained_system(spec, G)
 
 
 def fully_gained_system(spec: SystemSpec, G) -> SystemSpec:
     """System for a full-block gain G applied to both updates jointly.
 
-    Intended for single-time-scale runs where the fast block uses the slow
-    step size; the stacked noise maps to G U, so the joint covariance
-    becomes G Gamma G'.
+    The coefficient matrix becomes G A, the offset G b, and the stacked
+    noise maps to G U, so the joint covariance becomes G Gamma G'.
     """
     G = linalg.as_matrix(G, "G")
     n, m = spec.n, spec.m

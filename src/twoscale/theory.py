@@ -188,41 +188,6 @@ def optimal_gain_covariance(
     return Sigma11_opt, G1_opt, G_opt
 
 
-def matrix_csv_lines(matrices: dict[str, np.ndarray]) -> list[str]:
-    """Serialize named matrices as (matrix, row, col, value) CSV rows.
-
-    Values carry 17 significant digits so parsing the text back reproduces
-    the binary64 entries exactly.
-    """
-    lines = ["matrix,row,col,value"]
-    for name, M in matrices.items():
-        M = np.atleast_2d(np.asarray(M, dtype=np.float64))
-        for i in range(M.shape[0]):
-            for j in range(M.shape[1]):
-                lines.append(f"{name},{i},{j},{M[i, j]:.17g}")
-    return lines
-
-
-def parse_matrix_csv(lines) -> dict[str, np.ndarray]:
-    """Inverse of matrix_csv_lines."""
-    entries: dict[str, dict[tuple[int, int], float]] = {}
-    rows = [ln.strip() for ln in lines if ln.strip()]
-    if rows and rows[0].lower().startswith("matrix,"):
-        rows = rows[1:]
-    for ln in rows:
-        name, i, j, value = ln.split(",")
-        entries.setdefault(name, {})[(int(i), int(j))] = float(value)
-    out = {}
-    for name, cells in entries.items():
-        rows_n = 1 + max(i for i, _ in cells)
-        cols_n = 1 + max(j for _, j in cells)
-        M = np.zeros((rows_n, cols_n))
-        for (i, j), v in cells.items():
-            M[i, j] = v
-        out[name] = M
-    return out
-
-
 @dataclass
 class LSequence:
     """Decoupling matrices L_k with start index k0; zero for k below k0.
@@ -260,6 +225,8 @@ _BLOCK_CAP = 1024
 # A near-singular step factor shows up as amplification of L, which the
 # decoupling recursion otherwise keeps below order one.
 _NORM_LIMIT = 1e6
+# The retry gives up once the doubled start index would pass this bound.
+_MAX_K0 = 1024
 
 
 def l_sequence(
@@ -268,7 +235,6 @@ def l_sequence(
     K: int,
     k0: int = 0,
     retry: bool = True,
-    max_k0: int = 1024,
 ) -> LSequence:
     """Run the decoupling recursion from L_{k0} = 0 up to L_K.
 
@@ -287,11 +253,12 @@ def l_sequence(
     itself and the block is kept only up to its first step whose residual
     exceeds a fixed tolerance relative to ||L_k|| + ||L_{k+1}||.  Block
     lengths start at one, double after a fully accepted block up to a cap,
-    and halve otherwise.  A block of one step is the direct solve above.
+    and halve otherwise.  A block of one step is the direct solve above and
+    skips the residual check.
 
     A singular step factor (a failed solve, or ||L_{k+1}|| non-finite or
     above 1e6) means k0 is too small; with retry enabled the start index
-    doubles (0, 1, 2, 4, ...) while it stays within both K and max_k0, and
+    doubles (0, 1, 2, 4, ...) while it stays within both K and 1024, and
     SingularStep is raised once it would pass either.
     """
     if K < k0:
@@ -302,7 +269,7 @@ def l_sequence(
             seq = _l_sequence_run(spec, pair, K, start)
         except SingularStep:
             start = 1 if start == 0 else 2 * start
-            if not retry or start > min(K, max_k0):
+            if not retry or start > min(K, _MAX_K0):
                 raise
             retries += 1
         else:
@@ -330,36 +297,14 @@ def _l_sequence_run(spec: SystemSpec, pair: SchedulePair, K: int, k0: int) -> LS
     a, length = 0, 1
     while a < steps:
         b = min(steps, a + length)
-        if b - a == 1:
-            values[b], norms[b] = _direct_step(
-                spec, delta, H, beta[a, 0, 0], gamma[a, 0, 0], values[a], k0 + a
-            )
-            accepted = 1
-        else:
-            accepted = _scan_block(
-                spec, delta, H, phi[a:b], beta[a:b], gamma[a:b], values[a : b + 1], norms[a : b + 1]
-            )
+        accepted = _scan_block(
+            spec, delta, H, phi[a:b], beta[a:b], gamma[a:b], values[a : b + 1], norms[a : b + 1]
+        )
+        if accepted == 0 and b - a == 1:
+            raise SingularStep(k0 + a)
         length = min(_BLOCK_CAP, 2 * length) if accepted == b - a else max(1, length // 2)
         a += accepted
     return LSequence(k0=k0, values=values, norms=norms)
-
-
-def _direct_step(spec: SystemSpec, delta, H, beta: float, gamma: float, L, k: int):
-    """(L_{k+1}, its norm) from L_k by one solve with the step factor.
-
-    Raises SingularStep(k) when the factor is singular.
-    """
-    B11 = delta - spec.A12 @ L
-    factor = np.eye(spec.n) - beta * B11
-    rhs = L - gamma * (spec.A22 @ L) + beta * (H @ B11)
-    try:
-        L_next = np.linalg.solve(factor.T, rhs.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularStep(k) from exc
-    norm = float(np.linalg.norm(L_next))
-    if not np.isfinite(norm) or norm > _NORM_LIMIT:
-        raise SingularStep(k)
-    return L_next, norm
 
 
 def _recursion_residuals(spec: SystemSpec, delta, H, beta, gamma, L, L_next) -> np.ndarray:
@@ -372,7 +317,8 @@ def _recursion_residuals(spec: SystemSpec, delta, H, beta, gamma, L, L_next) -> 
 def _scan_block(spec: SystemSpec, delta, H, phi, beta, gamma, values, norms) -> int:
     """Extend values[0] = L_a through one block of maps phi; return the steps accepted.
 
-    The accepted steps are written to values[1:] and norms[1:].
+    The accepted steps are written to values[1:] and norms[1:].  A block of
+    one step is a single solve of X' against Y' and skips the residual check.
     """
     n = spec.n
     # Suffix products of the reversed transposes are the transposed prefix
@@ -385,10 +331,12 @@ def _scan_block(spec: SystemSpec, delta, H, phi, beta, gamma, values, norms) -> 
         except np.linalg.LinAlgError:
             return 0
         norm = np.linalg.norm(L, axis=(1, 2))
-        prev = np.concatenate([values[:1], L[:-1]])
-        resid = _recursion_residuals(spec, delta, H, beta, gamma, prev, L)
-        scale = np.concatenate([norms[:1], norm[:-1]]) + norm
-        ok = (resid <= _GATE_TOL * scale) & (norm <= _NORM_LIMIT)
+        ok = norm <= _NORM_LIMIT  # False for a non-finite norm too
+        if len(phi) > 1:
+            prev = np.concatenate([values[:1], L[:-1]])
+            resid = _recursion_residuals(spec, delta, H, beta, gamma, prev, L)
+            scale = np.concatenate([norms[:1], norm[:-1]]) + norm
+            ok &= resid <= _GATE_TOL * scale
     accepted = len(ok) if ok.all() else int(np.argmin(ok))
     values[1 : accepted + 1] = L[:accepted]
     norms[1 : accepted + 1] = norm[:accepted]

@@ -1,10 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from twoscale import cli, predict_full
-from twoscale.theory import parse_matrix_csv
 
 SYS_A_DOC = {
     "n": 1,
@@ -24,6 +24,19 @@ SYS_A_DOC = {
     "beta": {"base": 1.0, "tau": 10.0, "alpha": 1.0},
     "gamma": {"base": 1.0, "tau": 10.0, "alpha": 0.7},
 }
+
+
+def parse_matrix_csv(lines) -> dict[str, np.ndarray]:
+    """Matrices of a predict CSV (matrix,row,col,value lines), keyed by name."""
+    cells: dict[str, dict[tuple[int, int], float]] = {}
+    for row in csv.DictReader(lines):
+        cells.setdefault(row["matrix"], {})[int(row["row"]), int(row["col"])] = float(row["value"])
+    out = {}
+    for name, entries in cells.items():
+        out[name] = np.zeros([1 + max(ix) for ix in zip(*entries)])
+        for ix, v in entries.items():
+            out[name][ix] = v
+    return out
 
 
 @pytest.fixture
@@ -101,6 +114,30 @@ def test_predict_round_trips_full_precision(sys_a_config, tmp_path, capsys):
         assert np.array_equal(parsed[name], expected), name
     assert parsed["Sigma11"][0, 0] == pytest.approx(2.0 / 1.9)
     assert "Sigma11_reduced" in parsed and "G_opt" in parsed and "Sigma11_opt" in parsed
+
+
+# `predict --out` for system A, byte for byte.
+SYS_A_PREDICT_CSV = """\
+matrix,row,col,value
+Delta,0,0,1
+Q,0,0,2
+Sigma11,0,0,1.0526315789473684
+Sigma12,0,0,-0.5
+Sigma22,0,0,0.5
+Sigma11_reduced,0,0,1.0526315789473684
+Sigma11_opt,0,0,2
+G1_opt,0,0,1
+G_opt,0,0,1
+G_opt,0,1,-1
+G_opt,1,0,-1
+G_opt,1,1,2
+"""
+
+
+def test_predict_out_bytes_are_pinned(sys_a_config, tmp_path):
+    out_path = tmp_path / "pred.csv"
+    assert cli.main(["predict", "--config", sys_a_config, "--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == SYS_A_PREDICT_CSV.encode()
 
 
 def test_predict_zero_noise_config(tmp_path):

@@ -7,8 +7,6 @@ from twoscale import (
     SchedulePair,
     StepSchedule,
     SystemSpec,
-    fixed_point,
-    hat_transform,
     noise_stream,
     propagate_covariance,
     reconstruct_original,
@@ -20,6 +18,7 @@ from twoscale import engine
 from twoscale.engine import _ChunkNoise, _suffix_products, noise_block_steps
 from twoscale.errors import Diverged
 from twoscale.linalg import factor_covariance
+from twoscale.model import fixed_point, hat_transform
 
 
 def zero_noise(spec: SystemSpec) -> SystemSpec:
@@ -420,7 +419,7 @@ def test_ensemble_initial_checkpoint_uses_init(sys_a, mc_pair):
 
 
 def test_ensemble_matches_exact_propagation(sys_a, mc_pair):
-    from twoscale import scaled_covariances, standard_errors
+    from twoscale.estimator import scaled_covariances, standard_errors
 
     N, K = 10**4, 2048
     res = run_ensemble(sys_a, mc_pair, N, K, [K], base_seed=13, jobs=2)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from twoscale import normality_check, scaled_covariances, standard_errors
+from twoscale import normality_check, scaled_covariances
 from twoscale.errors import InsufficientSamples, SingularPrediction
-from twoscale.estimator import chi_square_cdf, ks_distance
+from twoscale.estimator import chi_square_cdf, ks_distance, standard_errors
 
 
 def test_scaled_covariances_zero_samples_give_zero():

@@ -8,14 +8,16 @@ from twoscale import (
     StepSchedule,
     SystemSpec,
     averaging_system,
+    gained_system,
+)
+from twoscale.errors import NotHurwitz, NotPSD, SingularA22
+from twoscale.model import (
     delta_matrix,
     fixed_point,
     fully_gained_system,
-    gained_system,
     hat_transform,
     validate_system,
 )
-from twoscale.errors import NotHurwitz, NotPSD, SingularA22
 
 
 def test_fixed_point_reference_system(sys_a):

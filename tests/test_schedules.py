@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from twoscale import SchedulePair, StepSchedule, beta_bar_limit, epsilon_limit
+from twoscale import SchedulePair, StepSchedule
 from twoscale.errors import DivergentRatio
-from twoscale.schedules import validate_schedules
+from twoscale.schedules import beta_bar_limit, epsilon_limit, validate_schedules
 
 
 def test_step_value_at_zero_is_base():

@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +11,8 @@ from twoscale import (
     StepSchedule,
     SystemSpec,
     averaging_system,
-    delta_matrix,
     gained_reduced_covariance,
     l_sequence,
-    noise_equivalent_covariance,
     optimal_gain_covariance,
     predict_full,
     predict_reduced,
@@ -21,7 +20,9 @@ from twoscale import (
 from twoscale.errors import AssumptionViolation, SingularStep
 from twoscale.linalg import solve_sylvester
 from twoscale import theory
-from twoscale.theory import matrix_csv_lines, parse_matrix_csv
+from twoscale.cli import _csv_lines
+from twoscale.model import delta_matrix
+from twoscale.theory import noise_equivalent_covariance
 
 
 def test_predict_full_reference_values(sys_a):
@@ -379,9 +380,16 @@ def test_prediction_structured_export(sys_a):
 
 def test_matrix_csv_round_trip():
     rng = np.random.default_rng(9)
-    mats = {"A": rng.standard_normal((2, 3)), "B": rng.standard_normal((1, 1))}
-    lines = matrix_csv_lines(mats)
-    parsed = parse_matrix_csv(lines)
-    assert set(parsed) == {"A", "B"}
-    assert np.array_equal(parsed["A"], mats["A"])
-    assert np.array_equal(parsed["B"], mats["B"])
+    mats = {"A": rng.standard_normal((2, 3)), "B": rng.standard_normal((1, 1)),
+            "C": rng.standard_normal((3, 2))}
+    mats["A"][0] = [1e-300, 1e-320, -0.0]
+    mats["C"][:, 0] = [np.inf, -np.inf, 0.0]
+    rows = [(name, i, j, float(M[i, j])) for name, M in mats.items() for i, j in np.ndindex(M.shape)]
+    lines = _csv_lines(["matrix", "row", "col", "value"], rows)
+    parsed = list(csv.reader(lines))
+    assert parsed[0] == ["matrix", "row", "col", "value"]
+    back = [(name, int(i), int(j), float(v)) for name, i, j, v in parsed[1:]]
+    assert back == rows
+    # Equal floats can still differ in sign (0.0 == -0.0).
+    assert [np.signbit(v) for *_, v in back] == [np.signbit(v) for *_, v in rows]
+    assert _csv_lines(["matrix", "row", "col", "value"], []) == ["matrix,row,col,value"]
