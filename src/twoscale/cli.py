@@ -298,24 +298,20 @@ def _run_transformed_check(cfg: RunConfig) -> int:
     return EXIT_OK if worst <= TRANSFORMED_TOL else EXIT_TOLERANCE
 
 
+_MODES = {
+    "propagate": _run_propagate,
+    "ensemble": _run_ensemble,
+    "normality": _run_normality,
+    "transformed-check": _run_transformed_check,
+}
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config, args)
     gate = _validation_gate(cfg, args.skip_validate)
     if gate is not None:
         return gate
-    try:
-        if args.mode == "propagate":
-            return _run_propagate(cfg)
-        if args.mode == "ensemble":
-            return _run_ensemble(cfg)
-        if args.mode == "normality":
-            return _run_normality(cfg)
-        if args.mode == "transformed-check":
-            return _run_transformed_check(cfg)
-    except Diverged as exc:
-        print(f"diverged: {exc}")
-        return EXIT_TOLERANCE
-    raise AssertionError(f"unknown mode {args.mode}")
+    return _MODES[args.mode](cfg)
 
 
 def cmd_averaging(args) -> int:
@@ -332,12 +328,13 @@ def cmd_averaging(args) -> int:
         slow=StepSchedule(base=1.0, horizon_scale=1.0, exponent=1.0),
         fast=StepSchedule(base=0.5, horizon_scale=10.0, exponent=0.7),
     )
-    N = args.replicas or 4000
-    K = args.steps or 100000
-    seed = args.seed if args.seed is not None else 0
+    N = 4000 if args.replicas is None else args.replicas
+    K = 100000 if args.steps is None else args.steps
+    seed = 0 if args.seed is None else args.seed
+    jobs = 1 if args.jobs is None else args.jobs
 
     predicted = theory.predict_reduced(spec, beta_bar=1.0)
-    result = engine.run_ensemble(spec, pair, N, K, [K], seed, jobs=args.jobs or 1)
+    result = engine.run_ensemble(spec, pair, N, K, [K], seed, jobs=jobs)
     cp = result.final
     S11, _, _ = estimator.scaled_covariances(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
     SE11, _, _ = estimator.standard_errors(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
@@ -359,32 +356,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Predict and validate scaled covariances of coupled slow/fast linear iterations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_mode=False):
-        p.add_argument("--config", required=True, help="JSON configuration path")
-        p.add_argument("--replicas", "-N", type=int, default=None)
-        p.add_argument("--steps", "-K", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--stride", type=int, default=None)
-        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        p.add_argument("--skip-validate", action="store_true")
-        if with_mode:
-            p.add_argument(
-                "--mode",
-                choices=["propagate", "ensemble", "normality", "transformed-check"],
-                required=True,
-            )
-
-    add_common(sub.add_parser("validate", help="check admissibility assumptions"))
-    add_common(sub.add_parser("predict", help="solve the limit covariance equations"))
-    add_common(sub.add_parser("run", help="propagate, simulate, or cross-check"), with_mode=True)
-    avg = sub.add_parser("averaging", help="running-average recovery demonstration")
-    avg.add_argument("--config", required=True, help='JSON with "A", "b", "Gamma"')
-    avg.add_argument("--replicas", "-N", type=int, default=None)
-    avg.add_argument("--steps", "-K", type=int, default=None)
-    avg.add_argument("--seed", type=int, default=None)
-    avg.add_argument("--jobs", type=int, default=None)
+    commands = {
+        "validate": sub.add_parser("validate", help="check admissibility assumptions"),
+        "predict": sub.add_parser("predict", help="solve the limit covariance equations"),
+        "run": sub.add_parser("run", help="propagate, simulate, or cross-check"),
+        "averaging": sub.add_parser(
+            "averaging", help='running-average recovery demonstration (config: "A", "b", "Gamma")'
+        ),
+    }
+    # Each flag goes to the subcommands that read it.
+    flags = [
+        ("validate predict run averaging", ["--config"],
+         dict(required=True, help="JSON configuration path")),
+        ("run", ["--mode"], dict(choices=list(_MODES), required=True)),
+        ("run averaging", ["--replicas", "-N"], dict(type=int)),
+        ("run averaging", ["--steps", "-K"], dict(type=int)),
+        ("run averaging", ["--seed"], dict(type=int)),
+        ("run averaging", ["--jobs"], dict(type=int)),
+        ("run", ["--stride"], dict(type=int)),
+        ("predict run", ["--out"], dict(help="output CSV path (default stdout)")),
+        ("predict run", ["--skip-validate"], dict(action="store_true")),
+    ]
+    for users, names, kwargs in flags:
+        for name in users.split():
+            commands[name].add_argument(*names, **kwargs)
     return parser
 
 
@@ -409,7 +404,7 @@ def main(argv=None) -> int:
         print(f"malformed configuration: {exc}", file=sys.stderr)
         return EXIT_IO
     except Diverged as exc:
-        print(f"diverged: {exc}", file=sys.stderr)
+        print(f"diverged: {exc}")
         return EXIT_TOLERANCE
     except TwoScaleError as exc:
         print(f"error: {exc}", file=sys.stderr)

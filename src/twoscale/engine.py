@@ -17,11 +17,13 @@ Segments end at every noise-tile edge and at every checkpoint or recorded
 step, so each segment reads inside one tile and every reported state is the
 exact composition of its steps.  Step maps are built once per tile and
 sliced per segment.  Exact propagation updates the second moment as
-C <- P C P' + W'W; an ensemble advances each replica chunk as
-Z <- Z P' + Zraw W, one GEMM per chunk and segment, from a plan that keeps
-only (P, W) per segment; a single trajectory applies the same pair to one
-vector.  A segment that ends beyond the divergence cutoff is replayed one
-step at a time from its per-step maps to report the first bad step and the
+C <- P C P' + W'W.  Every simulated route goes through one driver,
+`_advance`, which moves a block of row states as Z <- Z P' + U W, U the
+rows' inputs over the segment: one row for `simulate` and for both phases
+of `simulate_transformed`, one replica chunk for `run_ensemble`, whose
+rows read each segment as one slice of the chunk's current noise tile.  A
+segment that ends beyond the divergence cutoff is replayed one step at a
+time from its rebuilt per-step maps to report the first bad step and the
 replicas that crossed it.
 
 Determinism contract
@@ -93,43 +95,6 @@ def _standard_tile(
         # identical for both distributions.
         vals = np.where(gen.random(count) < 0.5, -1.0, 1.0)
     return vals.reshape(NOISE_CHUNK, block * dim)
-
-
-class _ChunkNoise:
-    """Sequential reader of standardized noise for one replica chunk."""
-
-    def __init__(self, base_seed: int, chunk_idx: int, rows: int, dim: int, distribution: str):
-        self.base_seed = base_seed
-        self.chunk_idx = chunk_idx
-        self.rows = rows
-        self.dim = dim
-        self.distribution = distribution
-        self._block_idx = -1
-        self._tile: np.ndarray | None = None
-
-    def _fill(self, block_idx: int) -> np.ndarray:
-        if block_idx != self._block_idx:
-            self._tile = _standard_tile(
-                self.base_seed, self.chunk_idx, block_idx, self.dim, self.distribution
-            )
-            self._block_idx = block_idx
-        return self._tile
-
-    def segment(self, a: int, b: int) -> np.ndarray:
-        """Standardized draws for steps [a, b) as (rows, (b-a)*dim)."""
-        d = self.dim
-        block = noise_block_steps(d)
-        parts = []
-        step = a
-        while step < b:
-            block_idx = step // block
-            tile = self._fill(block_idx)
-            lo = (step - block_idx * block) * d
-            stop = min(b, (block_idx + 1) * block)
-            hi = (stop - block_idx * block) * d
-            parts.append(tile[: self.rows, lo:hi])
-            step = stop
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 @dataclass
@@ -213,28 +178,22 @@ def _step_maps(spec: SystemSpec, pair: SchedulePair, F: np.ndarray, a: int, b: i
     return np.eye(spec.n + spec.m) - dvec * spec.block_matrix(), dvec * F
 
 
-def _segments(tile, start: int, stop: int, block: int, edges):
-    """Yield (a, b, P, W, maps) for each kernel segment [a, b) of [start, stop).
+def _segments(maps, start: int, stop: int, block: int, edges):
+    """Yield (a, b, P, W) for each kernel segment [a, b) of [start, stop).
 
     Segments end at every noise-tile edge (a multiple of block) and at every
-    value of the sorted sequence edges.  tile(t0, t1) returns per-step arrays
-    for the steps of one tile, the maps M and N first; it is called once per
-    tile, and maps holds its arrays sliced to the segment.
+    value of the sorted sequence edges, so a // block == (b - 1) // block.
+    maps(t0, t1) returns the per-step maps (M, N) of the steps [t0, t1); it
+    is called once per tile.
     """
     t0 = start
     while t0 < stop:
         t1 = min(stop, (t0 // block + 1) * block)
-        arrays = tile(t0, t1)
+        M, N = maps(t0, t1)
         bounds = [t0, *edges[bisect_right(edges, t0) : bisect_left(edges, t1)], t1]
         for a, b in zip(bounds[:-1], bounds[1:]):
-            maps = [x[a - t0 : b - t0] for x in arrays]
-            yield (a, b, *_compose(maps[0], maps[1]), maps)
+            yield (a, b, *_compose(M[a - t0 : b - t0], N[a - t0 : b - t0]))
         t0 = t1
-
-
-def _finite(Z: np.ndarray) -> bool:
-    # NaN compares false, so it fails the test like inf does.
-    return float(np.abs(Z).max()) <= DIVERGENCE_CUTOFF
 
 
 def _replay(Z, M, N, U, a: int, replicas=None) -> None:
@@ -252,17 +211,23 @@ def _replay(Z, M, N, U, a: int, replicas=None) -> None:
     raise Diverged(a + len(M), None if replicas is None else list(replicas))
 
 
-def _advance(z: np.ndarray, tile, start: int, stop: int, block: int, edges):
-    """Advance one state vector from step start to stop, yielding (k, z_k) at each segment end.
+def _advance(Z: np.ndarray, plan, read, maps, replicas=None):
+    """Advance row states Z through the segments of plan, yielding (b, Z_b) after each.
 
-    tile(t0, t1) returns the maps (M, N) and inputs U of the steps [t0, t1).
+    plan yields (a, b, P, W); read(a, b) returns the rows' inputs for steps
+    [a, b) flattened step-major, one row per state.  A segment that ends
+    beyond the divergence cutoff is replayed from its rebuilt maps(a, b) to
+    report the first bad step and, when replicas names the rows, which
+    replicas crossed it.
     """
-    for a, b, P, W, (M, N, U) in _segments(tile, start, stop, block, edges):
-        z_next = P @ z + U.reshape(-1) @ W
-        if not _finite(z_next):
-            _replay(z[None], M, N, U[None], a)
-        z = z_next
-        yield b, z
+    for a, b, P, W in plan:
+        U = read(a, b)
+        Z_next = Z @ P.T + U @ W
+        # NaN compares false, so it fails the test like inf does.
+        if not float(np.abs(Z_next).max()) <= DIVERGENCE_CUTOFF:
+            _replay(Z, *maps(a, b), U.reshape(len(Z), b - a, -1), a, replicas)
+        Z = Z_next
+        yield b, Z
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +268,19 @@ def simulate(
         raise ValueError("record_stride must be at least 1")
     theta, r = _init_vectors(spec, init)
     n = spec.n
-    Fb = np.column_stack([noise.factor, spec.offset()])
+    maps = functools.partial(_step_maps, spec, pair, np.column_stack([noise.factor, spec.offset()]))
 
-    def tile(a, b):
-        M, N = _step_maps(spec, pair, Fb, a, b)
-        return M, N, np.column_stack([noise.standard_range(a, b), np.ones(b - a)])
+    def read(a, b):
+        return np.column_stack([noise.standard_range(a, b), np.ones(b - a)]).reshape(1, -1)
 
     states = [TrajectoryState(0, theta, r)]
-    z = np.concatenate([theta, r])
     edges = range(record_stride, K, record_stride)
+    plan = _segments(maps, 0, K, noise_block_steps(noise.dim), edges)
     # Unstable systems overflow the composed maps; the replay reports where.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, z in _advance(z, tile, 0, K, noise_block_steps(noise.dim), edges):
+        for k, Z in _advance(np.concatenate([theta, r])[None], plan, read, maps):
             if k % record_stride == 0 or k == K:
-                states.append(TrajectoryState(k, z[:n], z[n:]))
+                states.append(TrajectoryState(k, Z[0, :n], Z[0, n:]))
     return states
 
 
@@ -369,10 +333,11 @@ def simulate_transformed(
     delta = delta_matrix(spec)
 
     theta0, r0 = _init_vectors(spec, init)
-    z = np.concatenate([theta0, r0]) - np.concatenate(fixed_point(spec))
+    Z = (np.concatenate([theta0, r0]) - np.concatenate(fixed_point(spec)))[None]
+    original = functools.partial(_step_maps, spec, pair, F)
 
-    def original(a, b):
-        return (*_step_maps(spec, pair, F, a, b), noise.standard_range(a, b))
+    def read(a, b):
+        return noise.standard_range(a, b).reshape(1, -1)
 
     def decoupled(a, b):
         # Slow: theta' = theta - beta (B11 theta + A12 r) + beta V with
@@ -390,18 +355,19 @@ def simulate_transformed(
         N = np.empty((b - a, n + m, F.shape[1]))
         N[:, :n] = beta * F[:n]
         N[:, n:] = beta * (coupling @ F[:n]) + gamma * F[n:]
-        return M, N, noise.standard_range(a, b)
+        return M, N
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, z in _advance(z, original, 0, k0, block, ()):
+        for _, Z in _advance(Z, _segments(original, 0, k0, block, ()), read, original):
             pass
-        x = T @ z
-        x[n:] += lseq.at(k0) @ z[:n]
+        x = T @ Z[0]
+        x[n:] += lseq.at(k0) @ Z[0, :n]
         states = [TransformedState(k0, x[:n], x[n:])]
         edges = range(record_stride * (k0 // record_stride + 1), K, record_stride)
-        for k, x in _advance(x, decoupled, k0, K, block, edges):
+        plan = _segments(decoupled, k0, K, block, edges)
+        for k, X in _advance(x[None], plan, read, decoupled):
             if k % record_stride == 0 or k == K:
-                states.append(TransformedState(k, x[:n], x[n:]))
+                states.append(TransformedState(k, X[0, :n], X[0, n:]))
     return TransformedRun(k0=k0, states=states, lseq=lseq)
 
 
@@ -461,7 +427,7 @@ def propagate_covariance(
     T = centring_matrix(spec)
     out = []
     maps = functools.partial(_step_maps, spec, pair, F)
-    for _, b, P, W, _ in _segments(maps, 0, cps[-1], noise_block_steps(d), cps):
+    for _, b, P, W in _segments(maps, 0, cps[-1], noise_block_steps(d), cps):
         C = P @ C @ P.T + W.T @ W
         if b in cps:
             H = T @ symmetrize(C) @ T.T
@@ -534,29 +500,31 @@ def run_ensemble(
     z0 = np.concatenate(_init_vectors(spec, init)) - np.concatenate(fixed_point(spec))
     F = factor_covariance(spec.noise.joint())
     T = centring_matrix(spec)
-    # Over a segment the deviations of a replica chunk update as
-    # Z_b = Z_a P' + Zraw W.  Unstable systems overflow the composed maps to
-    # inf; that is the intended divergence signal, resolved stepwise later.
+    # Unstable systems overflow the composed maps to inf; that is the
+    # intended divergence signal, resolved stepwise by the replay.
+    block = noise_block_steps(d)
+    maps = functools.partial(_step_maps, spec, pair, F)
     with np.errstate(over="ignore", invalid="ignore"):
-        maps = functools.partial(_step_maps, spec, pair, F)
-        plan = [(a, b, P, W) for a, b, P, W, _ in _segments(maps, 0, K, noise_block_steps(d), cps)]
+        plan = list(_segments(maps, 0, K, block, cps))
     cp_store = {c: np.empty((N, d)) for c in cps}
     chunks = [range(i, min(i + NOISE_CHUNK, N)) for i in range(0, N, NOISE_CHUNK)]
 
     def work(replicas: range) -> None:
         rows, lo = len(replicas), replicas.start
-        reader = _ChunkNoise(base_seed, lo // NOISE_CHUNK, rows, d, spec.noise.distribution)
+        # A segment lies inside one tile, so only the current tile is kept.
+        tile = functools.lru_cache(maxsize=1)(
+            lambda i: _standard_tile(base_seed, lo // NOISE_CHUNK, i, d, spec.noise.distribution)
+        )
+
+        def read(a, b):
+            i = a // block
+            return tile(i)[:rows, (a - i * block) * d : (b - i * block) * d]
+
         Z = np.repeat(z0[None, :], rows, axis=0)
         if 0 in cp_store:
             cp_store[0][lo : lo + rows] = Z @ T.T
         with np.errstate(over="ignore", invalid="ignore"):
-            for a, b, P, W in plan:
-                zraw = reader.segment(a, b)
-                Z_next = Z @ P.T + zraw @ W
-                if not _finite(Z_next):
-                    maps = _step_maps(spec, pair, F, a, b)
-                    _replay(Z, *maps, zraw.reshape(rows, b - a, d), a, replicas)
-                Z = Z_next
+            for b, Z in _advance(Z, plan, read, maps, replicas):
                 if b in cp_store:
                     cp_store[b][lo : lo + rows] = Z @ T.T
 

@@ -292,6 +292,27 @@ def test_averaging_rejects_unstable(tmp_path):
     assert cli.main(["averaging", "--config", str(path), "--replicas", "64", "--steps", "200"]) == 2
 
 
+@pytest.mark.parametrize("sizes", [["--replicas", "0", "--steps", "200"],
+                                   ["--replicas", "64", "--steps", "0"]])
+def test_averaging_rejects_zero_sizes(tmp_path, sizes):
+    # Zero is an explicit value, not "use the default run size".
+    path = tmp_path / "avg.json"
+    path.write_text(json.dumps({"A": [[1.0]], "b": [0.0], "Gamma": [[1.0]]}))
+    assert cli.main(["averaging", "--config", str(path)] + sizes) == 1
+
+
+def test_averaging_divergence_reported_on_stdout(tmp_path, capsys):
+    path = tmp_path / "avg_overshoot.json"
+    path.write_text(json.dumps({"A": [[100.0]], "b": [0.0], "Gamma": [[1.0]]}))
+    assert cli.main(["averaging", "--config", str(path), "-N", "64", "-K", "2000"]) == 2
+    assert "diverged" in capsys.readouterr().out
+
+
+def test_validate_rejects_run_flags(sys_a_config):
+    with pytest.raises(SystemExit):
+        cli.main(["validate", "--config", sys_a_config, "--steps", "5"])
+
+
 def test_seeded_runs_reproducible_across_jobs(mc_config, tmp_path):
     outs = []
     for jobs, name in ((1, "a.csv"), (4, "b.csv")):

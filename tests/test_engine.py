@@ -15,10 +15,19 @@ from twoscale import (
     simulate_transformed,
 )
 from twoscale import engine
-from twoscale.engine import _ChunkNoise, _suffix_products, noise_block_steps
+from twoscale.engine import _segments, _standard_tile, _suffix_products, noise_block_steps
 from twoscale.errors import Diverged
 from twoscale.linalg import factor_covariance
 from twoscale.model import fixed_point, hat_transform
+
+
+def chunk_draws(base_seed, chunk_idx, dim, distribution, steps):
+    """Standardized draws of one replica chunk for steps [0, steps), tiles concatenated."""
+    tiles = -(-steps // noise_block_steps(dim))
+    row = np.concatenate(
+        [_standard_tile(base_seed, chunk_idx, i, dim, distribution) for i in range(tiles)], axis=1
+    )
+    return row[:, : steps * dim]
 
 
 def zero_noise(spec: SystemSpec) -> SystemSpec:
@@ -81,16 +90,15 @@ def test_noise_stream_generates_each_tile_once(sys_a, monkeypatch):
     assert np.array_equal(stream.standard_range(lo, hi), first[lo:hi])
     assert len(calls) == 4
     # The same draws as the ensemble's chunk reader for that replica.
-    chunk = _ChunkNoise(11, 1, 64, 2, "gaussian").segment(0, b)
+    chunk = chunk_draws(11, 1, 2, "gaussian", b)
     assert np.array_equal(first, chunk[6].reshape(b, 2))
 
 
 def test_noise_empirical_covariance_matches_joint():
     joint = np.array([[2.0, 0.5], [0.5, 1.0]])
     F = factor_covariance(joint)
-    reader = _ChunkNoise(base_seed=5, chunk_idx=0, rows=64, dim=2, distribution="gaussian")
     steps = 16384
-    z = reader.segment(0, steps).reshape(64, steps, 2).reshape(-1, 2)
+    z = chunk_draws(5, 0, 2, "gaussian", steps).reshape(64, steps, 2).reshape(-1, 2)
     draws = z @ F.T
     sample_cov = draws.T @ draws / len(draws)
     N = len(draws)
@@ -101,8 +109,7 @@ def test_noise_empirical_covariance_matches_joint():
 
 
 def test_noise_rademacher_values_and_covariance():
-    reader = _ChunkNoise(base_seed=5, chunk_idx=0, rows=64, dim=2, distribution="scaled-rademacher")
-    z = reader.segment(0, 4096).reshape(-1)
+    z = chunk_draws(5, 0, 2, "scaled-rademacher", 4096).reshape(-1)
     assert set(np.unique(z)) == {-1.0, 1.0}
     assert abs(np.mean(z)) <= 3.0 / np.sqrt(len(z))
 
@@ -468,3 +475,61 @@ def test_suffix_products_match_naive_loop(L):
     for j in range(L - 1, -1, -1):
         R = R @ M[j]
         assert np.linalg.norm(S[j] - R) <= 1e-12 * np.linalg.norm(R)
+
+
+@pytest.mark.parametrize(
+    "start, stop, edges",
+    [
+        (0, 1000, []),
+        (0, 1, [1]),
+        (37, 600, [100, 256, 257, 512, 599]),
+        (37, 3000, list(range(50, 3000, 50))),
+        (300, 2048, [512, 1024, 2048]),
+    ],
+)
+def test_segments_cut_at_tile_and_record_edges(start, stop, edges):
+    block = 256
+    d = 2
+
+    def identity_maps(t0, t1):
+        return np.broadcast_to(np.eye(d), (t1 - t0, d, d)), np.zeros((t1 - t0, d, d))
+
+    segments = list(_segments(identity_maps, start, stop, block, edges))
+    bounds = [tuple(seg[:2]) for seg in segments]
+    assert bounds[0][0] == start and bounds[-1][1] == stop
+    assert all(b0 == a1 for (_, b0), (a1, _) in zip(bounds, bounds[1:]))
+    assert all(a < b and a // block == (b - 1) // block for a, b in bounds)
+    ends = {b for _, b in bounds}
+    assert {e for e in edges if start < e < stop} <= ends
+    assert {k for k in range(start + 1, stop) if k % block == 0} <= ends
+    for seg in segments:
+        assert np.array_equal(seg[2], np.eye(d)) and not np.any(seg[3])
+
+
+def test_divergence_step_agrees_across_routes():
+    spec = SystemSpec(
+        A11=[[-1.0]], A12=[[0.0]], A21=[[0.0]], A22=[[1.0]], b1=[0.0], b2=[0.0],
+        noise=NoiseSpec(Gamma11=[[1.0]], Gamma12=[[0.0]], Gamma22=[[1.0]]),
+    )
+    pair = SchedulePair(slow=StepSchedule(1.0, 1e6, 1.0), fast=StepSchedule(1.0, 1e6, 0.7))
+    K = 500
+
+    def step_of(run):
+        with pytest.raises(Diverged) as info:
+            run()
+        return info.value.step
+
+    steps = [
+        step_of(lambda r=r: simulate(spec, pair, None, K, noise_stream(spec, 0, r)))
+        for r in range(8)
+    ]
+    # k0 = 300 locates the divergence in the original-coordinate phase.
+    for k0 in (0, 300):
+        transformed = step_of(
+            lambda: simulate_transformed(spec, pair, K, noise_stream(spec, 0, 0), k0=k0)
+        )
+        assert transformed == steps[0]
+    with pytest.raises(Diverged) as info:
+        run_ensemble(spec, pair, 8, K, [K], base_seed=0)
+    assert info.value.step == min(steps)
+    assert info.value.replicas == [r for r, s in enumerate(steps) if s == min(steps)]
