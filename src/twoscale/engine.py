@@ -20,11 +20,12 @@ sliced per segment.  Exact propagation updates the second moment as
 C <- P C P' + W'W.  Every simulated route goes through one driver,
 `_advance`, which moves a block of row states as Z <- Z P' + U W, U the
 rows' inputs over the segment: one row for `simulate` and for both phases
-of `simulate_transformed`, one replica chunk for `run_ensemble`, whose
-rows read each segment as one slice of the chunk's current noise tile.  A
-segment that ends beyond the divergence cutoff is replayed one step at a
-time from its rebuilt per-step maps to report the first bad step and the
-replicas that crossed it.
+of `simulate_transformed`, one replica chunk for `run_ensemble`.  The
+ensemble runs tile-major: it composes one noise tile's segments, moves
+every chunk through them, and drops them before the next tile, so its
+memory is flat in K.  A segment that ends beyond the divergence cutoff is
+replayed one step at a time from its rebuilt per-step maps to report the
+first bad step and the replicas that crossed it.
 
 Determinism contract
 --------------------
@@ -133,10 +134,6 @@ class NoiseStream:
             for i in range(a // block, -(-b // block))
         ]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def draws(self, K: int) -> np.ndarray:
-        """All correlated draws for steps 0..K-1 in one array."""
-        return self.standard_range(0, K) @ self.factor.T
 
 
 def noise_stream(spec: SystemSpec, base_seed: int, replica: int) -> NoiseStream:
@@ -485,8 +482,11 @@ def run_ensemble(
     """Simulate N independent replicas and sample centered iterates at checkpoints.
 
     Replica r draws from the stream keyed (base_seed, r); chunk layout is a
-    fixed constant so any jobs value reproduces identical bits.  Samples are
-    stored by replica index, making downstream statistics order-independent.
+    fixed constant so any jobs value reproduces identical bits.  Tile-major:
+    every replica chunk crosses a noise tile before any chunk starts the
+    next, so a divergence names the earliest bad step of the ensemble and
+    every replica that crossed at it.  Samples are stored by replica index,
+    making downstream statistics order-independent.
     """
     if N < 2:
         raise ValueError("ensemble needs at least 2 replicas")
@@ -498,51 +498,51 @@ def run_ensemble(
 
     n, d = spec.n, spec.n + spec.m
     z0 = np.concatenate(_init_vectors(spec, init)) - np.concatenate(fixed_point(spec))
-    F = factor_covariance(spec.noise.joint())
     T = centring_matrix(spec)
-    # Unstable systems overflow the composed maps to inf; that is the
-    # intended divergence signal, resolved stepwise by the replay.
     block = noise_block_steps(d)
-    maps = functools.partial(_step_maps, spec, pair, F)
-    with np.errstate(over="ignore", invalid="ignore"):
-        plan = list(_segments(maps, 0, K, block, cps))
+    maps = functools.partial(_step_maps, spec, pair, factor_covariance(spec.noise.joint()))
+    Z = np.repeat(z0[None, :], N, axis=0)
     cp_store = {c: np.empty((N, d)) for c in cps}
+    if 0 in cp_store:
+        cp_store[0][:] = Z @ T.T
     chunks = [range(i, min(i + NOISE_CHUNK, N)) for i in range(0, N, NOISE_CHUNK)]
+    tiles = functools.partial(_standard_tile, base_seed, dim=d, distribution=spec.noise.distribution)
 
-    def work(replicas: range) -> None:
-        rows, lo = len(replicas), replicas.start
-        # A segment lies inside one tile, so only the current tile is kept.
-        tile = functools.lru_cache(maxsize=1)(
-            lambda i: _standard_tile(base_seed, lo // NOISE_CHUNK, i, d, spec.noise.distribution)
-        )
+    def work(replicas: range, t0: int, segments) -> Diverged | None:
+        rows = slice(replicas.start, replicas.stop)
+        tile = tiles(replicas.start // NOISE_CHUNK, t0 // block)
 
         def read(a, b):
-            i = a // block
-            return tile(i)[:rows, (a - i * block) * d : (b - i * block) * d]
+            return tile[: len(replicas), (a - t0) * d : (b - t0) * d]
 
-        Z = np.repeat(z0[None, :], rows, axis=0)
-        if 0 in cp_store:
-            cp_store[0][lo : lo + rows] = Z @ T.T
         with np.errstate(over="ignore", invalid="ignore"):
-            for b, Z in _advance(Z, plan, read, maps, replicas):
-                if b in cp_store:
-                    cp_store[b][lo : lo + rows] = Z @ T.T
+            try:
+                for b, Z_b in _advance(Z[rows], segments, read, maps, replicas):
+                    Z[rows] = Z_b
+                    if b in cp_store:
+                        cp_store[b][rows] = Z_b @ T.T
+            except Diverged as exc:
+                return exc
+
+    def run_tiles(mapper) -> None:
+        for t0 in range(0, K, block):
+            # Unstable systems overflow to inf by design; the replay locates it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                segments = list(_segments(maps, t0, min(K, t0 + block), block, cps))
+            failed = [e for e in mapper(functools.partial(work, t0=t0, segments=segments), chunks) if e]
+            if failed:
+                step = min(e.step for e in failed)
+                raise Diverged(step, [r for e in failed if e.step == step for r in e.replicas])
+            del segments  # free this tile's segments before composing the next
 
     if jobs <= 1 or len(chunks) == 1:
-        for chunk in chunks:
-            work(chunk)
+        run_tiles(map)
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(work, chunks))
+            run_tiles(pool.map)
 
     samples = [
-        CheckpointSamples(
-            k=c,
-            beta=pair.slow.value(c),
-            gamma=pair.fast.value(c),
-            theta_hat=cp_store[c][:, :n],
-            r_hat=cp_store[c][:, n:],
-        )
-        for c in cps
+        CheckpointSamples(c, pair.slow.value(c), pair.fast.value(c), X[:, :n], X[:, n:])
+        for c, X in cp_store.items()
     ]
     return EnsembleResult(base_seed=base_seed, replicas=N, K=K, checkpoints=samples)

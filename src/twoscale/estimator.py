@@ -31,6 +31,15 @@ def _samples(x, name: str) -> np.ndarray:
     return a
 
 
+def _paired_samples(theta_hat, r_hat, minimum: int) -> tuple[np.ndarray, np.ndarray]:
+    th, rh = _samples(theta_hat, "theta_hat"), _samples(r_hat, "r_hat")
+    if rh.shape[0] != th.shape[0]:
+        raise ValueError("theta_hat and r_hat must have the same replica count")
+    if th.shape[0] < minimum:
+        raise InsufficientSamples(f"need at least {minimum} samples, got {th.shape[0]}")
+    return th, rh
+
+
 def scaled_covariances(
     theta_hat, r_hat, beta_k: float, gamma_k: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -40,13 +49,8 @@ def scaled_covariances(
     uncentered outer products, so S11 and S22 are positive semidefinite by
     construction.
     """
-    th = _samples(theta_hat, "theta_hat")
-    rh = _samples(r_hat, "r_hat")
+    th, rh = _paired_samples(theta_hat, r_hat, MIN_COVARIANCE_SAMPLES)
     N = th.shape[0]
-    if rh.shape[0] != N:
-        raise ValueError("theta_hat and r_hat must have the same replica count")
-    if N < MIN_COVARIANCE_SAMPLES:
-        raise InsufficientSamples(f"need at least {MIN_COVARIANCE_SAMPLES} samples, got {N}")
     S11 = symmetrize(th.T @ th) / (N * beta_k)
     S12 = (th.T @ rh) / (N * beta_k)
     S22 = symmetrize(rh.T @ rh) / (N * gamma_k)
@@ -61,13 +65,8 @@ def standard_errors(
     Each covariance entry is a mean of per-replica outer products; its SE is
     the sample standard deviation of those products over sqrt(N).
     """
-    th = _samples(theta_hat, "theta_hat")
-    rh = _samples(r_hat, "r_hat")
+    th, rh = _paired_samples(theta_hat, r_hat, MIN_SE_SAMPLES)
     N = th.shape[0]
-    if rh.shape[0] != N:
-        raise ValueError("theta_hat and r_hat must have the same replica count")
-    if N < MIN_SE_SAMPLES:
-        raise InsufficientSamples(f"need at least {MIN_SE_SAMPLES} samples, got {N}")
 
     def per_entry_se(x, y, scale):
         prods = np.einsum("ni,nj->nij", x, y) / scale

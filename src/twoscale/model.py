@@ -18,7 +18,7 @@ toward the fast iterate, and noise only on the fast block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,9 +141,6 @@ class SystemSpec:
         """Stacked offset vector (b1, b2)."""
         return np.concatenate([self.b1, self.b2])
 
-    def with_noise(self, noise: NoiseSpec) -> "SystemSpec":
-        return replace(self, noise=noise)
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -211,15 +208,6 @@ def centring_matrix(spec: SystemSpec) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularA22(str(exc)) from exc
     return np.block([[np.eye(n), np.zeros((n, m))], [coupling, np.eye(m)]])
-
-
-def hat_transform(
-    spec: SystemSpec, theta: np.ndarray, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Centered coordinates: theta about its solution, r about its slow-conditional target."""
-    z = np.concatenate([_vector(theta, "theta"), _vector(r, "r")])
-    hat = centring_matrix(spec) @ (z - np.concatenate(fixed_point(spec)))
-    return hat[: spec.n], hat[spec.n :]
 
 
 def averaging_system(A, b, Gamma) -> SystemSpec:

@@ -1,3 +1,7 @@
+import sys
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +22,7 @@ from twoscale import engine
 from twoscale.engine import _segments, _standard_tile, _suffix_products, noise_block_steps
 from twoscale.errors import Diverged
 from twoscale.linalg import factor_covariance
-from twoscale.model import fixed_point, hat_transform
+from twoscale.model import fixed_point
 
 
 def chunk_draws(base_seed, chunk_idx, dim, distribution, steps):
@@ -32,9 +36,8 @@ def chunk_draws(base_seed, chunk_idx, dim, distribution, steps):
 
 def zero_noise(spec: SystemSpec) -> SystemSpec:
     n, m = spec.n, spec.m
-    return spec.with_noise(
-        NoiseSpec(Gamma11=np.zeros((n, n)), Gamma12=np.zeros((n, m)), Gamma22=np.zeros((m, m)))
-    )
+    noise = NoiseSpec(Gamma11=np.zeros((n, n)), Gamma12=np.zeros((n, m)), Gamma22=np.zeros((m, m)))
+    return replace(spec, noise=noise)
 
 
 # ---------------------------------------------------------------------------
@@ -44,13 +47,19 @@ def zero_noise(spec: SystemSpec) -> SystemSpec:
 def test_noise_stream_replay_identical(sys_a):
     s1 = noise_stream(sys_a, base_seed=42, replica=3)
     s2 = noise_stream(sys_a, base_seed=42, replica=3)
-    assert np.array_equal(s1.draws(500), s2.draws(500))
+    assert np.array_equal(
+        s1.standard_range(0, 500) @ s1.factor.T, s2.standard_range(0, 500) @ s2.factor.T
+    )
 
 
 def test_noise_stream_distinct_replicas_and_seeds(sys_a):
-    base = noise_stream(sys_a, 42, 3).draws(200)
-    assert not np.array_equal(base, noise_stream(sys_a, 42, 4).draws(200))
-    assert not np.array_equal(base, noise_stream(sys_a, 43, 3).draws(200))
+    def draws(seed, replica):
+        stream = noise_stream(sys_a, seed, replica)
+        return stream.standard_range(0, 200) @ stream.factor.T
+
+    base = draws(42, 3)
+    assert not np.array_equal(base, draws(42, 4))
+    assert not np.array_equal(base, draws(43, 3))
 
 
 def test_noise_stream_prefix_stability(sys_a):
@@ -404,6 +413,21 @@ def test_ensemble_bit_identical_across_jobs(sys_a, mc_pair):
         assert np.array_equal(cp_a.r_hat, cp_b.r_hat)
 
 
+def test_ensemble_threads_share_state_without_lost_updates(sys_a, mc_pair):
+    # More workers than cores and a short switch interval: every chunk writes
+    # its rows of the shared state and checkpoint arrays from its own thread.
+    serial = run_ensemble(sys_a, mc_pair, 300, 1500, [0, 700, 1500], base_seed=4, jobs=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_ensemble(sys_a, mc_pair, 300, 1500, [0, 700, 1500], base_seed=4, jobs=4)
+    finally:
+        sys.setswitchinterval(interval)
+    for cp_s, cp_t in zip(serial.checkpoints, threaded.checkpoints):
+        assert np.array_equal(cp_s.theta_hat, cp_t.theta_hat)
+        assert np.array_equal(cp_s.r_hat, cp_t.r_hat)
+
+
 def test_ensemble_repeat_run_bit_identical(sys_a, mc_pair):
     a = run_ensemble(sys_a, mc_pair, 70, 300, [300], base_seed=5)
     b = run_ensemble(sys_a, mc_pair, 70, 300, [300], base_seed=5)
@@ -412,9 +436,13 @@ def test_ensemble_repeat_run_bit_identical(sys_a, mc_pair):
 
 def test_ensemble_replica_matches_single_simulate(sys_a, mc_pair):
     res = run_ensemble(sys_a, mc_pair, 70, 500, [500], base_seed=7)
+    # Centring written out here, not shared with the ensemble: fixed point
+    # (-1, 3), and the fast coordinate measured from A22^-1 (b2 - A21 theta).
+    theta_star, r_star = -1.0, 3.0
     for replica in (0, 3, 69):
         states = simulate(sys_a, mc_pair, None, 500, noise_stream(sys_a, 7, replica))
-        th_hat, r_hat = hat_transform(sys_a, states[-1].theta, states[-1].r)
+        theta, r = states[-1].theta, states[-1].r
+        th_hat, r_hat = theta - theta_star, (r - r_star) + (theta - theta_star)
         assert np.allclose(res.final.theta_hat[replica], th_hat, atol=1e-11)
         assert np.allclose(res.final.r_hat[replica], r_hat, atol=1e-11)
 
@@ -521,7 +549,7 @@ def test_divergence_step_agrees_across_routes():
 
     steps = [
         step_of(lambda r=r: simulate(spec, pair, None, K, noise_stream(spec, 0, r)))
-        for r in range(8)
+        for r in range(200)
     ]
     # k0 = 300 locates the divergence in the original-coordinate phase.
     for k0 in (0, 300):
@@ -529,7 +557,58 @@ def test_divergence_step_agrees_across_routes():
             lambda: simulate_transformed(spec, pair, K, noise_stream(spec, 0, 0), k0=k0)
         )
         assert transformed == steps[0]
-    with pytest.raises(Diverged) as info:
-        run_ensemble(spec, pair, 8, K, [K], base_seed=0)
-    assert info.value.step == min(steps)
-    assert info.value.replicas == [r for r, s in enumerate(steps) if s == min(steps)]
+    # At N = 200 the earliest crossing is shared by replicas of several
+    # chunks; the ensemble must name all of them, whatever the jobs value.
+    for N in (8, 200):
+        first = min(steps[:N])
+        for jobs in (1, 2):
+            with pytest.raises(Diverged) as info:
+                run_ensemble(spec, pair, N, K, [K], base_seed=0, jobs=jobs)
+            assert info.value.step == first
+            assert info.value.replicas == [r for r in range(N) if steps[r] == first]
+
+
+def test_divergence_step_matches_oracle_loop():
+    # Zero noise and no coupling: theta_{k+1} = (1 + c beta_k) theta_k, so a
+    # plain loop gives the step at which |theta| first passes the cutoff.
+    c = 0.5
+    spec = SystemSpec(
+        A11=[[-c]], A12=[[0.0]], A21=[[0.0]], A22=[[1.0]], b1=[0.0], b2=[0.0],
+        noise=NoiseSpec(Gamma11=[[0.0]], Gamma12=[[0.0]], Gamma22=[[0.0]]),
+    )
+    pair = SchedulePair(slow=StepSchedule(1.0, 1e6, 1.0), fast=StepSchedule(1.0, 1e6, 0.7))
+    z, oracle = 1.0, 0
+    while abs(z) <= 1e12:
+        z *= 1.0 + c / (1.0 + oracle / 1e6)
+        oracle += 1
+    assert oracle == 69
+    K, init = 500, ([1.0], [0.0])
+    runs = {
+        "simulate": lambda: simulate(spec, pair, init, K, noise_stream(spec, 0, 0)),
+        "transformed": lambda: simulate_transformed(
+            spec, pair, K, noise_stream(spec, 0, 0), init=init
+        ),
+        "ensemble": lambda: run_ensemble(spec, pair, 3, K, [K], base_seed=0, init=init),
+    }
+    for name, run in runs.items():
+        with pytest.raises(Diverged) as info:
+            run()
+        assert info.value.step == oracle, name
+    # The ensemble ran last; its three identical replicas cross together.
+    assert info.value.replicas == [0, 1, 2]
+
+
+def test_ensemble_memory_does_not_grow_with_steps(mc_pair):
+    spec = random_stable_system(np.random.default_rng(3), n=3, m=3)
+
+    def peak_bytes(K):
+        tracemalloc.start()
+        try:
+            run_ensemble(spec, mc_pair, 64, K, [K], base_seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    K = 2000
+    peak_bytes(K)  # warm up caches that a first call allocates
+    assert peak_bytes(4 * K) - peak_bytes(K) <= 0.5e6

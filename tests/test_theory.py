@@ -103,8 +103,8 @@ def test_predict_reduced_reference(sys_a):
 
 
 def test_predict_reduced_zero_noise(sys_a):
-    spec = sys_a.with_noise(
-        NoiseSpec(Gamma11=[[0.0]], Gamma12=[[0.0]], Gamma22=[[0.0]])
+    spec = replace(
+        sys_a, noise=NoiseSpec(Gamma11=[[0.0]], Gamma12=[[0.0]], Gamma22=[[0.0]])
     )
     assert predict_reduced(spec, beta_bar=0.0) == pytest.approx(np.array([[0.0]]))
 
@@ -149,7 +149,7 @@ def test_optimal_gain_averaging_case():
 
 
 def test_optimal_gain_zero_noise(sys_a):
-    spec = sys_a.with_noise(NoiseSpec(Gamma11=[[0.0]], Gamma12=[[0.0]], Gamma22=[[0.0]]))
+    spec = replace(sys_a, noise=NoiseSpec(Gamma11=[[0.0]], Gamma12=[[0.0]], Gamma22=[[0.0]]))
     S_opt, _, _ = optimal_gain_covariance(spec)
     assert S_opt == pytest.approx(np.array([[0.0]]))
 
