@@ -25,19 +25,40 @@ ensemble runs tile-major: it composes one noise tile's segments, moves
 every chunk through them, and drops them before the next tile, so its
 memory is flat in K.  A segment that ends beyond the divergence cutoff is
 replayed one step at a time from its rebuilt per-step maps to report the
-first bad step and the replicas that crossed it.
+first bad step and the replicas that crossed it.  Exact propagation
+replays a segment whose moment passes the cutoff squared the same way.
 
-Determinism contract
---------------------
-Every standardized draw is a pure function of (base_seed, replica, step).
+Gaussian ensembles aggregate each segment's noise: for Gaussian u the term
+W'u is exactly N(0, W'W), and so is R'xi for the triangular factor R of
+W = QR (R'R = W'W, also when Gamma is singular) and d standard normals xi.
+`run_ensemble` therefore advances Gaussian replicas as Z <- Z P' + xi R,
+d draws per replica per segment instead of L d.  A diverging segment is
+replayed with the per-step inputs u = Q xi, which give W'u = R'xi exactly;
+when W itself overflowed, Q is undefined and the replay reads the per-step
+stream's draws instead.  Every other route draws per step and stays the
+pathwise reference.
+
+Determinism contract (stream layout 2)
+--------------------------------------
+Per-step draws -- `NoiseStream`, `simulate`, `simulate_transformed` and
+Rademacher ensembles -- are a pure function of (base_seed, replica, step).
 Replicas are grouped into chunks of NOISE_CHUNK and steps into blocks of
 noise_block_steps(d) for joint noise dimension d; one keyed generator fills
 a whole (chunk, block) tile at a time, and the draw for (replica, step,
 coordinate c) is the tile entry
 [replica mod chunk, (step mod block) * d + c].  Tile shapes are fixed
 functions of d alone, so which values a replica sees never depends on N, K,
-checkpoints, chunk scheduling, or the degree of parallelism: results are
-bit-identical for any --jobs setting and replay exactly.
+checkpoints, chunk scheduling, or the degree of parallelism.
+
+Aggregated Gaussian draws are a pure function of (base_seed, replica,
+segment partition).  One generator per (chunk, block), keyed apart from the
+per-step tiles, fills (NOISE_CHUNK, d) per segment of the block in step
+order.  The partition is cut by the tile edges, the checkpoints and K, so a
+replica's state at checkpoint c depends only on the segments that end at or
+before c: it is unchanged when K grows or checkpoints above c are added.
+
+Both kinds of draws are bit-identical for any --jobs setting and replay
+exactly.
 """
 
 from __future__ import annotations
@@ -58,6 +79,7 @@ from .theory import LSequence, l_sequence
 DIVERGENCE_CUTOFF = 1e12
 NOISE_CHUNK = 64  # replicas per noise tile
 _MASK64 = (1 << 64) - 1
+_SEGMENT_DOMAIN = 1  # leads the spawn key of the aggregated Gaussian draws
 
 
 def noise_block_steps(dim: int) -> int:
@@ -76,6 +98,21 @@ def noise_block_steps(dim: int) -> int:
 def _tile_generator(base_seed: int, chunk_idx: int, block_idx: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=(base_seed & _MASK64, chunk_idx, block_idx))
     return np.random.Generator(np.random.SFC64(seq))
+
+
+def _segment_draws(
+    base_seed: int, chunk_idx: int, block_idx: int, segments: int, dim: int
+) -> np.ndarray:
+    """Standard normals of one (replica chunk, step block) for aggregated segments.
+
+    Shape (segments, NOISE_CHUNK, dim), filled segment by segment in step
+    order, so the first j segments' draws do not depend on how many follow.
+    """
+    # The seed alone is the entropy, zero-padded to a fixed width, so no other
+    # (seed, chunk, block) and no per-step tile key spells the same words.
+    key = (_SEGMENT_DOMAIN, chunk_idx, block_idx)
+    seq = np.random.SeedSequence(entropy=base_seed & _MASK64, spawn_key=key)
+    return np.random.Generator(np.random.SFC64(seq)).standard_normal((segments, NOISE_CHUNK, dim))
 
 
 def _standard_tile(
@@ -208,21 +245,33 @@ def _replay(Z, M, N, U, a: int, replicas=None) -> None:
     raise Diverged(a + len(M), None if replicas is None else list(replicas))
 
 
-def _advance(Z: np.ndarray, plan, read, maps, replicas=None):
+def _replay_moment(C, M, N, a: int) -> None:
+    """Step a failing segment's second moment map by map; raise Diverged at the first bad step."""
+    for j in range(len(M)):
+        C = M[j] @ C @ M[j].T + N[j] @ N[j].T
+        if not float(np.abs(C).max()) <= DIVERGENCE_CUTOFF**2:
+            raise Diverged(a + j + 1)
+    raise Diverged(a + len(M))
+
+
+def _advance(Z: np.ndarray, plan, read, maps, replicas=None, step_inputs=None):
     """Advance row states Z through the segments of plan, yielding (b, Z_b) after each.
 
     plan yields (a, b, P, W); read(a, b) returns the rows' inputs for steps
     [a, b) flattened step-major, one row per state.  A segment that ends
     beyond the divergence cutoff is replayed from its rebuilt maps(a, b) to
     report the first bad step and, when replicas names the rows, which
-    replicas crossed it.
+    replicas crossed it.  The replay takes the per-step inputs
+    step_inputs(a, b, U) of the segment's read U; by default U is already
+    per step.
     """
     for a, b, P, W in plan:
         U = read(a, b)
         Z_next = Z @ P.T + U @ W
         # NaN compares false, so it fails the test like inf does.
         if not float(np.abs(Z_next).max()) <= DIVERGENCE_CUTOFF:
-            _replay(Z, *maps(a, b), U.reshape(len(Z), b - a, -1), a, replicas)
+            U = U.reshape(len(Z), b - a, -1) if step_inputs is None else step_inputs(a, b, U)
+            _replay(Z, *maps(a, b), U, a, replicas)
         Z = Z_next
         yield b, Z
 
@@ -405,6 +454,8 @@ def propagate_covariance(
     with D_k the diagonal of slow and fast step sizes.  Checkpoints report
     the moment in centered coordinates, scaled by the inverse step sizes.
     Each kernel segment advances the moment at once as C <- P C P' + W'W.
+    Raises Diverged at the first step whose moment passes the divergence
+    cutoff squared, found by replaying the failing segment step by step.
     """
     n, m = spec.n, spec.m
     d = n + m
@@ -424,21 +475,19 @@ def propagate_covariance(
     T = centring_matrix(spec)
     out = []
     maps = functools.partial(_step_maps, spec, pair, F)
-    for _, b, P, W in _segments(maps, 0, cps[-1], noise_block_steps(d), cps):
-        C = P @ C @ P.T + W.T @ W
-        if b in cps:
-            H = T @ symmetrize(C) @ T.T
-            beta, gamma = pair.slow.value(b), pair.fast.value(b)
-            out.append(
-                CovarianceCheckpoint(
-                    k=b,
-                    beta=beta,
-                    gamma=gamma,
-                    Sigma11=H[:n, :n] / beta,
-                    Sigma12=H[:n, n:] / beta,
-                    Sigma22=H[n:, n:] / gamma,
-                )
-            )
+    plan = _segments(maps, 0, cps[-1], noise_block_steps(d), cps)
+    # Unstable systems overflow the composed maps; the replay reports where.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b, P, W in plan:
+            C_next = P @ C @ P.T + W.T @ W
+            if not float(np.abs(C_next).max()) <= DIVERGENCE_CUTOFF**2:
+                _replay_moment(C, *maps(a, b), a)
+            C = C_next
+            if b in cps:
+                H = T @ symmetrize(C) @ T.T
+                beta, gamma = pair.slow.value(b), pair.fast.value(b)
+                blocks = H[:n, :n] / beta, H[:n, n:] / beta, H[n:, n:] / gamma
+                out.append(CovarianceCheckpoint(b, beta, gamma, *blocks))
     return out
 
 
@@ -482,7 +531,11 @@ def run_ensemble(
     """Simulate N independent replicas and sample centered iterates at checkpoints.
 
     Replica r draws from the stream keyed (base_seed, r); chunk layout is a
-    fixed constant so any jobs value reproduces identical bits.  Tile-major:
+    fixed constant so any jobs value reproduces identical bits.  Gaussian
+    replicas take one exact N(0, W'W) draw per segment, a pure function of
+    (base_seed, r, segment partition) and stable under growing K or adding
+    later checkpoints; Rademacher replicas read the per-step stream of
+    `noise_stream(spec, base_seed, r)`.  Tile-major:
     every replica chunk crosses a noise tile before any chunk starts the
     next, so a divergence names the earliest bad step of the ensemble and
     every replica that crossed at it.  Samples are stored by replica index,
@@ -506,18 +559,35 @@ def run_ensemble(
     if 0 in cp_store:
         cp_store[0][:] = Z @ T.T
     chunks = [range(i, min(i + NOISE_CHUNK, N)) for i in range(0, N, NOISE_CHUNK)]
-    tiles = functools.partial(_standard_tile, base_seed, dim=d, distribution=spec.noise.distribution)
+    aggregated = spec.noise.distribution == "gaussian"
 
     def work(replicas: range, t0: int, segments) -> Diverged | None:
-        rows = slice(replicas.start, replicas.stop)
-        tile = tiles(replicas.start // NOISE_CHUNK, t0 // block)
+        rows, count = slice(replicas.start, replicas.stop), len(replicas)
+        key = (base_seed, replicas.start // NOISE_CHUNK, t0 // block)
 
-        def read(a, b):
-            return tile[: len(replicas), (a - t0) * d : (b - t0) * d]
+        def per_step(tile, a, b):
+            return tile[:count, (a - t0) * d : (b - t0) * d]
+
+        if aggregated:
+            draws = _segment_draws(*key, len(segments), d)[:, :count]
+            xi = {a: x for (a, *_), x in zip(segments, draws)}
+
+            def read(a, b):
+                return xi[a]
+
+            def step_inputs(a, b, U):
+                W = _compose(*maps(a, b))[1]
+                if np.all(np.isfinite(W)):
+                    return (U @ np.linalg.qr(W)[0].T).reshape(count, b - a, d)
+                # The aggregate itself overflowed: replay the per-step stream.
+                return per_step(_standard_tile(*key, d, "gaussian"), a, b).reshape(count, b - a, d)
+        else:
+            tile = _standard_tile(*key, d, spec.noise.distribution)
+            read, step_inputs = functools.partial(per_step, tile), None
 
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                for b, Z_b in _advance(Z[rows], segments, read, maps, replicas):
+                for b, Z_b in _advance(Z[rows], segments, read, maps, replicas, step_inputs):
                     Z[rows] = Z_b
                     if b in cp_store:
                         cp_store[b][rows] = Z_b @ T.T
@@ -529,6 +599,8 @@ def run_ensemble(
             # Unstable systems overflow to inf by design; the replay locates it.
             with np.errstate(over="ignore", invalid="ignore"):
                 segments = list(_segments(maps, t0, min(K, t0 + block), block, cps))
+                if aggregated:
+                    segments = [(a, b, P, np.linalg.qr(W, mode="r")) for a, b, P, W in segments]
             failed = [e for e in mapper(functools.partial(work, t0=t0, segments=segments), chunks) if e]
             if failed:
                 step = min(e.step for e in failed)

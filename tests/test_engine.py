@@ -19,7 +19,13 @@ from twoscale import (
     simulate_transformed,
 )
 from twoscale import engine
-from twoscale.engine import _segments, _standard_tile, _suffix_products, noise_block_steps
+from twoscale.engine import (
+    _segment_draws,
+    _segments,
+    _standard_tile,
+    _suffix_products,
+    noise_block_steps,
+)
 from twoscale.errors import Diverged
 from twoscale.linalg import factor_covariance
 from twoscale.model import fixed_point
@@ -32,6 +38,18 @@ def chunk_draws(base_seed, chunk_idx, dim, distribution, steps):
         [_standard_tile(base_seed, chunk_idx, i, dim, distribution) for i in range(tiles)], axis=1
     )
     return row[:, : steps * dim]
+
+
+def rademacher(spec: SystemSpec) -> SystemSpec:
+    return replace(spec, noise=replace(spec.noise, distribution="scaled-rademacher"))
+
+
+def unstable_system() -> SystemSpec:
+    """Scalar system with an unstable slow drift (A11 = -1) and no coupling."""
+    return SystemSpec(
+        A11=[[-1.0]], A12=[[0.0]], A21=[[0.0]], A22=[[1.0]], b1=[0.0], b2=[0.0],
+        noise=NoiseSpec(Gamma11=[[1.0]], Gamma12=[[0.0]], Gamma22=[[1.0]]),
+    )
 
 
 def zero_noise(spec: SystemSpec) -> SystemSpec:
@@ -159,10 +177,7 @@ def test_simulate_record_stride(sys_a, sys_a_pair):
 
 
 def test_simulate_diverges_on_unstable_drift():
-    spec = SystemSpec(
-        A11=[[-1.0]], A12=[[0.0]], A21=[[0.0]], A22=[[1.0]], b1=[0.0], b2=[0.0],
-        noise=NoiseSpec(Gamma11=[[1.0]], Gamma12=[[0.0]], Gamma22=[[1.0]]),
-    )
+    spec = unstable_system()
     pair = SchedulePair(slow=StepSchedule(1.0, 1e6, 1.0), fast=StepSchedule(1.0, 1e6, 0.7))
     with pytest.raises(Diverged) as info:
         simulate(spec, pair, ([1.0], [0.0]), 500, noise_stream(spec, 0, 0))
@@ -277,10 +292,7 @@ def test_transformed_decouples_without_fast_to_slow_coupling(sys_a_pair):
 
 
 def test_simulate_transformed_diverges_on_unstable_drift():
-    spec = SystemSpec(
-        A11=[[-1.0]], A12=[[0.0]], A21=[[0.0]], A22=[[1.0]], b1=[0.0], b2=[0.0],
-        noise=NoiseSpec(Gamma11=[[1.0]], Gamma12=[[0.0]], Gamma22=[[1.0]]),
-    )
+    spec = unstable_system()
     pair = SchedulePair(slow=StepSchedule(1.0, 1e6, 1.0), fast=StepSchedule(1.0, 1e6, 0.7))
     with pytest.raises(Diverged) as info:
         simulate_transformed(spec, pair, 500, noise_stream(spec, 0, 0), init=([1.0], [0.0]))
@@ -390,6 +402,35 @@ def test_propagate_validates_checkpoints(sys_a, sys_a_pair):
         propagate_covariance(sys_a, sys_a_pair, None, 10, [11])
 
 
+def test_propagate_divergence_reports_oracle_step():
+    # The scalar system of test_divergence_step_matches_oracle_loop: from
+    # C0 = diag(1, 0) the slow moment is theta_k^2, which passes the squared
+    # cutoff at the step where the loop's |theta_k| passes 1e12.
+    c = 0.5
+    spec = SystemSpec(
+        A11=[[-c]], A12=[[0.0]], A21=[[0.0]], A22=[[1.0]], b1=[0.0], b2=[0.0],
+        noise=NoiseSpec(Gamma11=[[0.0]], Gamma12=[[0.0]], Gamma22=[[0.0]]),
+    )
+    pair = SchedulePair(slow=StepSchedule(1.0, 1e6, 1.0), fast=StepSchedule(1.0, 1e6, 0.7))
+    with pytest.raises(Diverged) as info:
+        propagate_covariance(spec, pair, np.diag([1.0, 0.0]), 500, [100, 500])
+    assert info.value.step == 69
+    assert info.value.replicas is None
+
+
+def test_propagate_refuses_unstable_single_time_scale_system():
+    # epsilon = 2: validate's blockwise checks pass, but eig(E A) has real
+    # part -0.25, so the moment grows without bound (about 1e113 at K = 1e5).
+    spec = SystemSpec(
+        A11=[[-1.0]], A12=[[2.0]], A21=[[-1.0]], A22=[[1.0]], b1=[0.0], b2=[0.0],
+        noise=NoiseSpec(Gamma11=[[1.0]], Gamma12=[[0.0]], Gamma22=[[1.0]]),
+    )
+    pair = SchedulePair(slow=StepSchedule(1.0, 10.0, 0.7), fast=StepSchedule(0.5, 10.0, 0.7))
+    with pytest.raises(Diverged) as info:
+        propagate_covariance(spec, pair, None, 10**5, [10**5])
+    assert 0 < info.value.step < 10**5
+
+
 # ---------------------------------------------------------------------------
 # ensembles
 
@@ -435,12 +476,15 @@ def test_ensemble_repeat_run_bit_identical(sys_a, mc_pair):
 
 
 def test_ensemble_replica_matches_single_simulate(sys_a, mc_pair):
-    res = run_ensemble(sys_a, mc_pair, 70, 500, [500], base_seed=7)
+    # Rademacher ensembles keep the per-step stream that `simulate` reads;
+    # Gaussian ones draw per segment and are checked against a per-step loop.
+    spec = rademacher(sys_a)
+    res = run_ensemble(spec, mc_pair, 70, 500, [500], base_seed=7)
     # Centring written out here, not shared with the ensemble: fixed point
     # (-1, 3), and the fast coordinate measured from A22^-1 (b2 - A21 theta).
     theta_star, r_star = -1.0, 3.0
     for replica in (0, 3, 69):
-        states = simulate(sys_a, mc_pair, None, 500, noise_stream(sys_a, 7, replica))
+        states = simulate(spec, mc_pair, None, 500, noise_stream(spec, 7, replica))
         theta, r = states[-1].theta, states[-1].r
         th_hat, r_hat = theta - theta_star, (r - r_star) + (theta - theta_star)
         assert np.allclose(res.final.theta_hat[replica], th_hat, atol=1e-11)
@@ -472,10 +516,7 @@ def test_ensemble_matches_exact_propagation(sys_a, mc_pair):
 
 
 def test_ensemble_divergence_reports_step_and_replicas():
-    spec = SystemSpec(
-        A11=[[-1.0]], A12=[[0.0]], A21=[[0.0]], A22=[[1.0]], b1=[0.0], b2=[0.0],
-        noise=NoiseSpec(Gamma11=[[1.0]], Gamma12=[[0.0]], Gamma22=[[1.0]]),
-    )
+    spec = unstable_system()
     pair = SchedulePair(slow=StepSchedule(1.0, 1e6, 1.0), fast=StepSchedule(1.0, 1e6, 0.7))
     with pytest.raises(Diverged) as info:
         run_ensemble(spec, pair, 8, 500, [500], base_seed=0)
@@ -535,10 +576,8 @@ def test_segments_cut_at_tile_and_record_edges(start, stop, edges):
 
 
 def test_divergence_step_agrees_across_routes():
-    spec = SystemSpec(
-        A11=[[-1.0]], A12=[[0.0]], A21=[[0.0]], A22=[[1.0]], b1=[0.0], b2=[0.0],
-        noise=NoiseSpec(Gamma11=[[1.0]], Gamma12=[[0.0]], Gamma22=[[1.0]]),
-    )
+    # Rademacher noise: every route reads the same per-step stream.
+    spec = rademacher(unstable_system())
     pair = SchedulePair(slow=StepSchedule(1.0, 1e6, 1.0), fast=StepSchedule(1.0, 1e6, 0.7))
     K = 500
 
@@ -612,3 +651,123 @@ def test_ensemble_memory_does_not_grow_with_steps(mc_pair):
     K = 2000
     peak_bytes(K)  # warm up caches that a first call allocates
     assert peak_bytes(4 * K) - peak_bytes(K) <= 0.5e6
+
+
+# ---------------------------------------------------------------------------
+# aggregated Gaussian ensembles
+
+
+def test_gaussian_ensemble_matches_per_step_loop_in_law():
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(17)
+    base = random_stable_system(rng, n=2, m=2)
+    B = rng.standard_normal((4, 2))
+    G = B @ B.T  # correlated and of rank 2
+    spec = replace(base, noise=NoiseSpec(G[:2, :2], G[:2, 2:], G[2:, 2:]))
+    pair = SchedulePair(slow=StepSchedule(0.1, 10.0, 1.0), fast=StepSchedule(0.5, 10.0, 0.7))
+    # d = 4: tiles of 1024 steps, split at 300 and 700, and a partial last tile.
+    N, K, cps = 3000, 1500, [300, 700, 1500]
+    res = run_ensemble(spec, pair, N, K, cps, base_seed=3, init=fixed_point(spec), jobs=2)
+
+    # Reference: the per-step recursion of the deviation z from the fixed
+    # point, z <- z - D_k (A z - B xi_k), with its own draws.
+    A = spec.block_matrix()
+    C = np.linalg.solve(spec.A22, spec.A21)
+    z = np.zeros((N, 4))
+    loop = {}
+    for k in range(K):
+        steps = np.repeat([pair.slow.value(k), pair.fast.value(k)], 2)
+        z = z - steps * (z @ A.T - rng.standard_normal((N, 2)) @ B.T)
+        if k + 1 in cps:
+            loop[k + 1] = np.column_stack([z[:, :2], z[:, 2:] + z[:, :2] @ C.T])
+
+    for cp in res.checkpoints:
+        ours, ref = np.column_stack([cp.theta_hat, cp.r_hat]), loop[cp.k]
+        dev = [x - x.mean(axis=0) for x in (ours, ref)]
+        for i in range(4):
+            assert ks_2samp(ours[:, i], ref[:, i]).pvalue > 1e-3, (cp.k, i)
+            for j in range(i, 4):
+                prods = [x[:, i] * x[:, j] for x in dev]
+                se = np.sqrt(sum(p.var() / N for p in prods))
+                assert abs(prods[0].mean() - prods[1].mean()) <= 4.0 * se, (cp.k, i, j)
+
+
+def test_gaussian_ensemble_prefix_stable(sys_a, mc_pair):
+    # d = 2: tiles of 2048 steps; 300 and 2500 sit inside the first two.
+    def states(K, cps, N=130):
+        res = run_ensemble(sys_a, mc_pair, N, K, cps, base_seed=6)
+        return {cp.k: np.column_stack([cp.theta_hat, cp.r_hat]) for cp in res.checkpoints}
+
+    short = states(2600, [300, 2500])
+    # A replica's draws do not depend on how many replicas run.
+    assert np.array_equal(states(2600, [300, 2500], N=70)[2500], short[2500][:70])
+    # Each run keeps the checkpoints at and below the compared ones.
+    for K, cps, compared in [
+        (2600, [300, 2500, 2550], (300, 2500)),
+        (6000, [300, 2500, 6000], (300, 2500)),
+        (6000, [300, 2500, 2501, 4096, 6000], (300, 2500)),
+        (6000, [300, 301, 2047, 4096, 6000], (300,)),
+    ]:
+        longer = states(K, cps)
+        for c in compared:
+            assert np.array_equal(longer[c], short[c]), (K, cps, c)
+
+
+def test_gaussian_divergence_same_at_any_jobs():
+    spec = unstable_system()
+    pair = SchedulePair(slow=StepSchedule(1.0, 1e6, 1.0), fast=StepSchedule(1.0, 1e6, 0.7))
+
+    def divergence(N, K, jobs):
+        with pytest.raises(Diverged) as info:
+            run_ensemble(spec, pair, N, K, [K], base_seed=0, jobs=jobs)
+        return info.value.step, info.value.replicas
+
+    # K = 500: the failing segment's W is finite and the replay reads u = Q xi.
+    step, replicas = divergence(200, 500, 1)
+    assert 0 < step <= 500 and replicas == sorted(replicas) and replicas
+    assert divergence(200, 500, 2) == divergence(200, 500, 3) == (step, replicas)
+    # K = 2000: the first segment's W overflows, so the replay reads the
+    # per-step stream and, starting from step 0, matches `simulate` exactly.
+    steps = []
+    for r in range(70):
+        with pytest.raises(Diverged) as info:
+            simulate(spec, pair, None, 2000, noise_stream(spec, 0, r))
+        steps.append(info.value.step)
+    first = min(steps)
+    expected = (first, [r for r in range(70) if steps[r] == first])
+    for jobs in (1, 2, 3):
+        assert divergence(70, 2000, jobs) == expected
+
+
+def test_gaussian_replay_inputs_reproduce_the_drawn_aggregate(monkeypatch):
+    # A diverging aggregated segment is replayed with per-step inputs u whose
+    # noise term W'u equals the drawn xi R, W = QR, for every replica.
+    spec = unstable_system()
+    pair = SchedulePair(slow=StepSchedule(1.0, 1e6, 1.0), fast=StepSchedule(1.0, 1e6, 0.7))
+    seen = []
+    replay = engine._replay
+
+    def recording_replay(Z, M, N, U, a, replicas=None):
+        seen.append((M, N, U, a))
+        return replay(Z, M, N, U, a, replicas)
+
+    monkeypatch.setattr(engine, "_replay", recording_replay)
+    K, N_rep = 500, 40
+    with pytest.raises(Diverged):
+        run_ensemble(spec, pair, N_rep, K, [K], base_seed=4)
+    [(M, N, U, a)] = seen
+    assert a == 0 and U.shape == (N_rep, K, 2)
+    W = engine._compose(M, N)[1]
+    xi = _segment_draws(4, 0, 0, 1, 2)[0, :N_rep]
+    drawn = xi @ np.linalg.qr(W, mode="r")
+    assert np.allclose(U.reshape(N_rep, -1) @ W, drawn, rtol=1e-10, atol=0.0)
+
+
+def test_segment_draws_keys_do_not_alias():
+    # Variable-width entropy would spell (5, 3, 4) and (5 + 3 * 2**32, 4, 0)
+    # with the same 32-bit words.
+    draws = _segment_draws(5, 3, 4, 1, 2)
+    assert not np.array_equal(draws, _segment_draws(5 + 3 * 2**32, 4, 0, 1, 2))
+    assert not np.array_equal(draws, _segment_draws(5, 4, 3, 1, 2))
+    assert np.array_equal(draws, _segment_draws(5, 3, 4, 2, 2)[:1])
