@@ -72,16 +72,11 @@ def load_config(path: str, args=None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     run = doc.get("run", {})
-    cfg = RunConfig(
-        system=SystemSpec.from_dict(doc),
-        schedules=SchedulePair.from_dict(doc),
-        replicas=int(run.get("replicas", 1000)),
-        steps=int(run.get("steps", 10000)),
-        seed=int(run.get("seed", 0)),
-        jobs=int(run.get("jobs", 1)),
-        stride=int(run.get("stride", 0)),
-        checkpoints=[int(c) for c in run["checkpoints"]] if run.get("checkpoints") else None,
-    )
+    cfg = RunConfig(system=SystemSpec.from_dict(doc), schedules=SchedulePair.from_dict(doc))
+    for attr in ("replicas", "steps", "seed", "jobs", "stride"):
+        setattr(cfg, attr, int(run.get(attr, getattr(cfg, attr))))
+    if run.get("checkpoints"):
+        cfg.checkpoints = [int(c) for c in run["checkpoints"]]
     if args is not None:
         for attr in ("replicas", "steps", "seed", "jobs", "stride", "out"):
             val = getattr(args, attr, None)
@@ -226,9 +221,10 @@ def _covariance_lines(cfg: RunConfig, rows) -> list[str]:
     return _csv_lines(header, flat)
 
 
-def _entrywise_pass(est, pred, se, rel_tol=ENSEMBLE_REL_TOL, se_factor=ENSEMBLE_SE_FACTOR) -> bool:
-    err = np.abs(np.asarray(est) - np.asarray(pred))
-    tol = np.maximum(rel_tol * np.abs(np.asarray(pred)), se_factor * np.asarray(se))
+def _entrywise_pass(est, pred, se) -> bool:
+    pred = np.asarray(pred)
+    err = np.abs(np.asarray(est) - pred)
+    tol = np.maximum(ENSEMBLE_REL_TOL * np.abs(pred), ENSEMBLE_SE_FACTOR * np.asarray(se))
     return bool(np.all(err <= tol))
 
 

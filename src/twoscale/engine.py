@@ -38,24 +38,29 @@ when W itself overflowed, Q is undefined and the replay reads the per-step
 stream's draws instead.  Every other route draws per step and stays the
 pathwise reference.
 
-Determinism contract (stream layout 2)
+Determinism contract (stream layout 3)
 --------------------------------------
+Every generator is SFC64 seeded by `SeedSequence(entropy=base_seed,
+spawn_key=(domain, chunk, block))`: the seed alone fills the entropy pool,
+zero-padded to a fixed width, so no two seeds share a key (a negative seed
+is refused).  Domain 0 serves per-step tiles, domain 1 aggregated draws.
+
 Per-step draws -- `NoiseStream`, `simulate`, `simulate_transformed` and
 Rademacher ensembles -- are a pure function of (base_seed, replica, step).
 Replicas are grouped into chunks of NOISE_CHUNK and steps into blocks of
-noise_block_steps(d) for joint noise dimension d; one keyed generator fills
-a whole (chunk, block) tile at a time, and the draw for (replica, step,
+noise_block_steps(d) for joint noise dimension d; one generator fills a
+whole (chunk, block) tile at a time, and the draw for (replica, step,
 coordinate c) is the tile entry
 [replica mod chunk, (step mod block) * d + c].  Tile shapes are fixed
 functions of d alone, so which values a replica sees never depends on N, K,
 checkpoints, chunk scheduling, or the degree of parallelism.
 
 Aggregated Gaussian draws are a pure function of (base_seed, replica,
-segment partition).  One generator per (chunk, block), keyed apart from the
-per-step tiles, fills (NOISE_CHUNK, d) per segment of the block in step
-order.  The partition is cut by the tile edges, the checkpoints and K, so a
-replica's state at checkpoint c depends only on the segments that end at or
-before c: it is unchanged when K grows or checkpoints above c are added.
+segment partition).  One generator per (chunk, block) fills
+(NOISE_CHUNK, d) per segment of the block in step order.  The partition is
+cut by the tile edges, the checkpoints and K, so a replica's state at
+checkpoint c depends only on the segments that end at or before c: it is
+unchanged when K grows or checkpoints above c are added.
 
 Both kinds of draws are bit-identical for any --jobs setting and replay
 exactly.
@@ -70,16 +75,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Diverged, NotPSD
-from .linalg import _suffix_products, factor_covariance, symmetrize
+from .errors import DIVERGENCE_CUTOFF, Diverged, MomentDiverged, NotPSD
+from .linalg import _suffix_products, factor_covariance, psd_floor, symmetrize
 from .model import SystemSpec, centring_matrix, delta_matrix, fixed_point
 from .schedules import SchedulePair
 from .theory import LSequence, l_sequence
 
-DIVERGENCE_CUTOFF = 1e12
 NOISE_CHUNK = 64  # replicas per noise tile
-_MASK64 = (1 << 64) - 1
-_SEGMENT_DOMAIN = 1  # leads the spawn key of the aggregated Gaussian draws
 
 
 def noise_block_steps(dim: int) -> int:
@@ -95,8 +97,9 @@ def noise_block_steps(dim: int) -> int:
 # noise streams
 
 
-def _tile_generator(base_seed: int, chunk_idx: int, block_idx: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=(base_seed & _MASK64, chunk_idx, block_idx))
+def _generator(base_seed: int, domain: int, chunk_idx: int, block_idx: int) -> np.random.Generator:
+    """The generator of one (replica chunk, step block) in one draw domain."""
+    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(domain, chunk_idx, block_idx))
     return np.random.Generator(np.random.SFC64(seq))
 
 
@@ -108,11 +111,8 @@ def _segment_draws(
     Shape (segments, NOISE_CHUNK, dim), filled segment by segment in step
     order, so the first j segments' draws do not depend on how many follow.
     """
-    # The seed alone is the entropy, zero-padded to a fixed width, so no other
-    # (seed, chunk, block) and no per-step tile key spells the same words.
-    key = (_SEGMENT_DOMAIN, chunk_idx, block_idx)
-    seq = np.random.SeedSequence(entropy=base_seed & _MASK64, spawn_key=key)
-    return np.random.Generator(np.random.SFC64(seq)).standard_normal((segments, NOISE_CHUNK, dim))
+    gen = _generator(base_seed, 1, chunk_idx, block_idx)
+    return gen.standard_normal((segments, NOISE_CHUNK, dim))
 
 
 def _standard_tile(
@@ -123,7 +123,7 @@ def _standard_tile(
     Shape (NOISE_CHUNK, noise_block_steps(dim) * dim); row r holds the draws
     of replica chunk_idx * NOISE_CHUNK + r for the block's steps, step-major.
     """
-    gen = _tile_generator(base_seed, chunk_idx, block_idx)
+    gen = _generator(base_seed, 0, chunk_idx, block_idx)
     block = noise_block_steps(dim)
     count = NOISE_CHUNK * block * dim
     if distribution == "gaussian":
@@ -250,8 +250,8 @@ def _replay_moment(C, M, N, a: int) -> None:
     for j in range(len(M)):
         C = M[j] @ C @ M[j].T + N[j] @ N[j].T
         if not float(np.abs(C).max()) <= DIVERGENCE_CUTOFF**2:
-            raise Diverged(a + j + 1)
-    raise Diverged(a + len(M))
+            raise MomentDiverged(a + j + 1)
+    raise MomentDiverged(a + len(M))
 
 
 def _advance(Z: np.ndarray, plan, read, maps, replicas=None, step_inputs=None):
@@ -463,8 +463,7 @@ def propagate_covariance(
         C = np.zeros((d, d))
     else:
         C = symmetrize(np.asarray(C0, dtype=np.float64).reshape(d, d))
-        scale = 1.0 + float(np.linalg.norm(C))
-        if float(np.min(np.linalg.eigvalsh(C))) < -1e-10 * scale:
+        if float(np.min(np.linalg.eigvalsh(C))) < psd_floor(C):
             raise NotPSD("initial second moment has a negative eigenvalue beyond tolerance")
 
     cps = sorted(set(int(c) for c in checkpoints))
@@ -531,7 +530,9 @@ def run_ensemble(
     """Simulate N independent replicas and sample centered iterates at checkpoints.
 
     Replica r draws from the stream keyed (base_seed, r); chunk layout is a
-    fixed constant so any jobs value reproduces identical bits.  Gaussian
+    fixed constant so any jobs value reproduces identical bits.  Only
+    per-step (Rademacher) ensembles spread chunks over jobs threads; Gaussian
+    ensembles run their chunks serially at any jobs.  Gaussian
     replicas take one exact N(0, W'W) draw per segment, a pure function of
     (base_seed, r, segment partition) and stable under growing K or adding
     later checkpoints; Rademacher replicas read the per-step stream of
@@ -604,10 +605,12 @@ def run_ensemble(
             failed = [e for e in mapper(functools.partial(work, t0=t0, segments=segments), chunks) if e]
             if failed:
                 step = min(e.step for e in failed)
-                raise Diverged(step, [r for e in failed if e.step == step for r in e.replicas])
+                replicas = [r for e in failed if e.step == step for r in e.replicas]
+                raise Diverged(step, replicas)
             del segments  # free this tile's segments before composing the next
 
-    if jobs <= 1 or len(chunks) == 1:
+    # A Gaussian chunk's work per tile is too short to overlap in threads.
+    if jobs <= 1 or len(chunks) == 1 or aggregated:
         run_tiles(map)
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+# An iterate entry above this in magnitude is divergence; a second moment, its square.
+DIVERGENCE_CUTOFF = 1e12
+
 
 class TwoScaleError(Exception):
     """Base class for every error raised by this package."""
@@ -59,13 +62,21 @@ class SingularStep(TwoScaleError):
 
 
 class Diverged(TwoScaleError):
-    """An iterate exceeded the divergence cutoff."""
+    """An iterate entry crossed the divergence cutoff."""
+
+    crossed = f"iterate entry above {DIVERGENCE_CUTOFF:.0e} in magnitude"
 
     def __init__(self, step: int, replicas: list[int] | None = None):
         self.step = step
         self.replicas = list(replicas) if replicas is not None else None
         where = f" in replicas {self.replicas}" if self.replicas else ""
-        super().__init__(f"iterate norm exceeded 1e12 at step {step}{where}")
+        super().__init__(f"{self.crossed} at step {step}{where}")
+
+
+class MomentDiverged(Diverged):
+    """A propagated second-moment entry crossed the squared divergence cutoff."""
+
+    crossed = f"second-moment entry above {DIVERGENCE_CUTOFF**2:.0e} in magnitude"
 
 
 class InsufficientSamples(TwoScaleError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, SingularPrediction
-from .linalg import factor_covariance, symmetrize
+from .linalg import COND_CAP, factor_covariance, symmetrize
 
 MIN_COVARIANCE_SAMPLES = 2
 MIN_SE_SAMPLES = 30
@@ -163,8 +163,8 @@ def normality_check(theta_hat, beta_k: float, Sigma11_pred) -> NormalityReport:
     if N < MIN_NORMALITY_SAMPLES:
         raise InsufficientSamples(f"need at least {MIN_NORMALITY_SAMPLES} samples, got {N}")
     Sigma = symmetrize(np.asarray(Sigma11_pred, dtype=np.float64).reshape(n, n))
-    if np.linalg.cond(Sigma) > 1e12:
-        raise SingularPrediction("predicted covariance condition number exceeds 1e12")
+    if np.linalg.cond(Sigma) > COND_CAP:
+        raise SingularPrediction(f"predicted covariance condition number exceeds {COND_CAP:.0e}")
 
     x = th / np.sqrt(beta_k)
     try:

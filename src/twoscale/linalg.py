@@ -19,8 +19,10 @@ import numpy as np
 from .errors import NonFinite, NotPSD, SingularPencil
 
 HURWITZ_MARGIN = 1e-9
-PSD_TOL = 1e-10
-SYM_TOL = 1e-12
+# Symmetry and PSD checks allow a defect of this much relative to the matrix size.
+PSD_TOL = SYM_TOL = 1e-10
+# Largest condition number accepted for a matrix that is inverted or solved against.
+COND_CAP = 1e12
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -37,11 +39,11 @@ def symmetry_defect(M: np.ndarray) -> float:
     return float(np.max(np.abs(M - M.T))) / scale if M.size else 0.0
 
 
-def is_symmetric(M, tol: float = SYM_TOL) -> bool:
+def is_symmetric(M) -> bool:
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         return False
-    return symmetry_defect(M) <= tol
+    return symmetry_defect(M) <= SYM_TOL
 
 
 def symmetrize(M) -> np.ndarray:
@@ -61,11 +63,14 @@ def spectral_abscissa(M) -> float:
     return float(np.max(np.linalg.eigvals(A).real))
 
 
-def is_hurwitz(M, margin: float = HURWITZ_MARGIN) -> bool:
-    """True when every eigenvalue real part is below -margin."""
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
-    return spectral_abscissa(M) < -margin
+def is_hurwitz(M) -> bool:
+    """True when every eigenvalue real part is below -HURWITZ_MARGIN."""
+    return spectral_abscissa(M) < -HURWITZ_MARGIN
+
+
+def psd_floor(G) -> float:
+    """Smallest eigenvalue a symmetric G may have and still count as PSD."""
+    return -PSD_TOL * (1.0 + float(np.linalg.norm(G)))
 
 
 def solve_sylvester(A, B, C) -> np.ndarray:
@@ -118,21 +123,20 @@ def _suffix_products(S: np.ndarray) -> np.ndarray:
 def factor_covariance(G) -> np.ndarray:
     """Factor a symmetric PSD matrix as F F^T via eigendecomposition.
 
-    Eigenvalues in [-tol, 0) are clipped to zero so semidefinite inputs
-    (e.g. covariance blocks that are identically zero) factor cleanly;
-    anything below -tol raises.
+    Eigenvalues in [psd_floor(G), 0) are clipped to zero so semidefinite
+    inputs (e.g. covariance blocks that are identically zero) factor
+    cleanly; anything below the floor raises.
     """
     G = as_matrix(G, "covariance")
     if G.shape[0] != G.shape[1]:
         raise ValueError(f"covariance must be square, got shape {G.shape}")
     if not np.all(np.isfinite(G)):
         raise NonFinite("covariance has non-finite entries")
-    if not is_symmetric(G, tol=1e-10):
+    if not is_symmetric(G):
         raise ValueError("covariance is not symmetric within tolerance")
 
-    scale = 1.0 + float(np.linalg.norm(G))
     w, V = np.linalg.eigh(symmetrize(G))
-    if np.min(w) < -PSD_TOL * scale:
+    if np.min(w) < psd_floor(G):
         raise NotPSD(f"eigenvalue {np.min(w):.3e} below -{PSD_TOL:.0e} * (1 + ||G||)")
     F = V * np.sqrt(np.clip(w, 0.0, None))
     return F

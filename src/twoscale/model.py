@@ -27,7 +27,6 @@ from .errors import NotHurwitz, NotPSD, SingularA22, SingularSystem
 from .schedules import SchedulePair, validate_schedules
 from .validation import ValidationReport
 
-COND_CAP = 1e12
 DISTRIBUTIONS = ("gaussian", "scaled-rademacher")
 
 
@@ -56,15 +55,14 @@ class NoiseSpec:
             raise ValueError(
                 f"inconsistent noise shapes: {self.Gamma11.shape}, {self.Gamma12.shape}, {self.Gamma22.shape}"
             )
-        if not linalg.is_symmetric(self.Gamma11, tol=1e-10):
+        if not linalg.is_symmetric(self.Gamma11):
             raise ValueError("Gamma11 is not symmetric within tolerance")
-        if not linalg.is_symmetric(self.Gamma22, tol=1e-10):
+        if not linalg.is_symmetric(self.Gamma22):
             raise ValueError("Gamma22 is not symmetric within tolerance")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}")
         J = self.joint()
-        scale = 1.0 + float(np.linalg.norm(J))
-        if float(np.min(np.linalg.eigvalsh(linalg.symmetrize(J)))) < -1e-10 * scale:
+        if float(np.min(np.linalg.eigvalsh(linalg.symmetrize(J)))) < linalg.psd_floor(J):
             raise NotPSD("joint noise covariance has a negative eigenvalue beyond tolerance")
 
     def joint(self) -> np.ndarray:
@@ -122,8 +120,8 @@ class SystemSpec:
                 raise ValueError(f"{name} has shape {got}, expected {want}")
         if not np.all(np.isfinite(self.block_matrix())):
             raise ValueError("system coefficients must be finite")
-        if np.linalg.cond(self.A22) > COND_CAP:
-            raise SingularA22(f"A22 condition number exceeds {COND_CAP:.0e}")
+        if np.linalg.cond(self.A22) > linalg.COND_CAP:
+            raise SingularA22(f"A22 condition number exceeds {linalg.COND_CAP:.0e}")
 
     @property
     def n(self) -> int:
@@ -175,8 +173,8 @@ def fixed_point(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     """Solve A11 theta + A12 r = b1, A21 theta + A22 r = b2."""
     A = spec.block_matrix()
     b = spec.offset()
-    if np.linalg.cond(A) > COND_CAP:
-        raise SingularSystem(f"block matrix condition number exceeds {COND_CAP:.0e}")
+    if np.linalg.cond(A) > linalg.COND_CAP:
+        raise SingularSystem(f"block matrix condition number exceeds {linalg.COND_CAP:.0e}")
     try:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
@@ -187,12 +185,17 @@ def fixed_point(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     return x[: spec.n], x[spec.n :]
 
 
-def delta_matrix(spec: SystemSpec) -> np.ndarray:
-    """Reduced slow drift A11 - A12 A22^{-1} A21."""
+def fast_coupling(spec: SystemSpec) -> np.ndarray:
+    """A22^{-1} A21, the fast block's equilibrium response to the slow iterate."""
     try:
-        return spec.A11 - spec.A12 @ np.linalg.solve(spec.A22, spec.A21)
+        return np.linalg.solve(spec.A22, spec.A21)
     except np.linalg.LinAlgError as exc:
         raise SingularA22(str(exc)) from exc
+
+
+def delta_matrix(spec: SystemSpec) -> np.ndarray:
+    """Reduced slow drift A11 - A12 A22^{-1} A21."""
+    return spec.A11 - spec.A12 @ fast_coupling(spec)
 
 
 def centring_matrix(spec: SystemSpec) -> np.ndarray:
@@ -203,11 +206,7 @@ def centring_matrix(spec: SystemSpec) -> np.ndarray:
     its slow-conditional target A22^{-1} (b2 - A21 theta).
     """
     n, m = spec.n, spec.m
-    try:
-        coupling = np.linalg.solve(spec.A22, spec.A21)
-    except np.linalg.LinAlgError as exc:
-        raise SingularA22(str(exc)) from exc
-    return np.block([[np.eye(n), np.zeros((n, m))], [coupling, np.eye(m)]])
+    return np.block([[np.eye(n), np.zeros((n, m))], [fast_coupling(spec), np.eye(m)]])
 
 
 def averaging_system(A, b, Gamma) -> SystemSpec:
@@ -285,50 +284,38 @@ def fully_gained_system(spec: SystemSpec, G) -> SystemSpec:
     )
 
 
-def validate_system(spec: SystemSpec, pair: SchedulePair) -> ValidationReport:
-    """Check system stability conditions and merge the schedule checks."""
+def stability_checks(spec: SystemSpec, beta_bar: float) -> ValidationReport:
+    """Stability of -A22, of -Delta and of -(Delta - beta_bar/2 I).
+
+    Each check reports the spectral abscissa it measured and passes when that
+    is below -HURWITZ_MARGIN.  `validate_system` lists these checks, and the
+    limit-equation solvers in `theory` refuse a system that fails any of them.
+    """
     report = ValidationReport()
-
-    abscissa_fast = linalg.spectral_abscissa(-spec.A22)
-    report.add(
-        "fast-matrix-stable",
-        abscissa_fast < -linalg.HURWITZ_MARGIN,
-        measured=abscissa_fast,
-        threshold=0.0,
-        note="spectral abscissa of -A22",
-    )
-
     delta = delta_matrix(spec)
-    abscissa_reduced = linalg.spectral_abscissa(-delta)
-    report.add(
-        "reduced-matrix-stable",
-        abscissa_reduced < -linalg.HURWITZ_MARGIN,
-        measured=abscissa_reduced,
-        threshold=0.0,
-        note="spectral abscissa of -Delta",
-    )
+    for name, M, note in (
+        ("fast-matrix-stable", -spec.A22, "-A22"),
+        ("reduced-matrix-stable", -delta, "-Delta"),
+        ("shifted-reduced-matrix-stable", -(delta - 0.5 * beta_bar * np.eye(spec.n)),
+         "-(Delta - beta_bar/2 I)"),
+    ):
+        abscissa = linalg.spectral_abscissa(M)
+        report.add(
+            name,
+            abscissa < -linalg.HURWITZ_MARGIN,
+            measured=abscissa,
+            threshold=0.0,
+            note=f"spectral abscissa of {note}",
+        )
+    return report
 
-    schedule_report = validate_schedules(pair)
-    beta_bar = pair.beta_bar
-    shifted = -(delta - 0.5 * beta_bar * np.eye(spec.n))
-    abscissa_shifted = linalg.spectral_abscissa(shifted)
-    report.add(
-        "shifted-reduced-matrix-stable",
-        abscissa_shifted < -linalg.HURWITZ_MARGIN,
-        measured=abscissa_shifted,
-        threshold=0.0,
-        note="spectral abscissa of -(Delta - beta_bar/2 I)",
-    )
 
+def validate_system(spec: SystemSpec, pair: SchedulePair) -> ValidationReport:
+    """The stability checks, the joint noise PSD check, then the schedule checks."""
+    report = stability_checks(spec, pair.beta_bar)
     J = spec.noise.joint()
     min_eig = float(np.min(np.linalg.eigvalsh(linalg.symmetrize(J))))
-    scale = 1.0 + float(np.linalg.norm(J))
-    report.add(
-        "joint-noise-psd",
-        min_eig >= -1e-10 * scale,
-        measured=min_eig,
-        threshold=-1e-10 * scale,
-    )
-
-    report.extend(schedule_report)
+    floor = linalg.psd_floor(J)
+    report.add("joint-noise-psd", min_eig >= floor, measured=min_eig, threshold=floor)
+    report.extend(validate_schedules(pair))
     return report

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import linalg
 from .errors import AssumptionViolation, SingularDelta, SingularStep, SingularSystem
-from .model import SystemSpec, delta_matrix
+from .model import SystemSpec, delta_matrix, fast_coupling, stability_checks
 from .schedules import SchedulePair
 
 
@@ -97,20 +97,17 @@ def noise_equivalent_covariance(spec: SystemSpec) -> np.ndarray:
     return linalg.symmetrize(Q)
 
 
-def _check_predict_preconditions(spec: SystemSpec, beta_bar: float, delta: np.ndarray) -> None:
-    failures = []
-    if not linalg.is_hurwitz(-spec.A22):
-        failures.append("fast-matrix-stable")
-    if not linalg.is_hurwitz(-(delta - 0.5 * beta_bar * np.eye(spec.n))):
-        failures.append("shifted-reduced-matrix-stable")
-    if failures:
-        raise AssumptionViolation(failures)
+def _check_predict_preconditions(spec: SystemSpec, beta_bar: float) -> None:
+    """Raise AssumptionViolation naming every failed check of `stability_checks`."""
+    report = stability_checks(spec, beta_bar)
+    if not report.passed:
+        raise AssumptionViolation([c.name for c in report.checks if not c.passed])
 
 
 def predict_full(spec: SystemSpec, beta_bar: float) -> CovariancePrediction:
     """Solve the full chain of limit equations for all three blocks."""
+    _check_predict_preconditions(spec, beta_bar)
     delta = delta_matrix(spec)
-    _check_predict_preconditions(spec, beta_bar, delta)
     G = spec.noise
 
     S22 = linalg.solve_sylvester(spec.A22, spec.A22.T, G.Gamma22)
@@ -136,8 +133,8 @@ def predict_full(spec: SystemSpec, beta_bar: float) -> CovariancePrediction:
 
 def predict_reduced(spec: SystemSpec, beta_bar: float) -> np.ndarray:
     """Solve the single reduced equation for the slow block only."""
+    _check_predict_preconditions(spec, beta_bar)
     delta = delta_matrix(spec)
-    _check_predict_preconditions(spec, beta_bar, delta)
     Q = noise_equivalent_covariance(spec)
     shifted = delta - 0.5 * beta_bar * np.eye(spec.n)
     return linalg.symmetrize(linalg.solve_sylvester(shifted, shifted.T, Q))
@@ -174,11 +171,11 @@ def optimal_gain_covariance(
         G1_opt = np.linalg.inv(delta)
     except np.linalg.LinAlgError as exc:
         raise SingularDelta(str(exc)) from exc
-    if np.linalg.cond(delta) > 1e12:
-        raise SingularDelta("reduced drift condition number exceeds 1e12")
+    if np.linalg.cond(delta) > linalg.COND_CAP:
+        raise SingularDelta(f"reduced drift condition number exceeds {linalg.COND_CAP:.0e}")
     A = spec.block_matrix()
-    if np.linalg.cond(A) > 1e12:
-        raise SingularSystem("block matrix condition number exceeds 1e12")
+    if np.linalg.cond(A) > linalg.COND_CAP:
+        raise SingularSystem(f"block matrix condition number exceeds {linalg.COND_CAP:.0e}")
     try:
         G_opt = np.linalg.inv(A)
     except np.linalg.LinAlgError as exc:
@@ -229,13 +226,7 @@ _NORM_LIMIT = 1e6
 _MAX_K0 = 1024
 
 
-def l_sequence(
-    spec: SystemSpec,
-    pair: SchedulePair,
-    K: int,
-    k0: int = 0,
-    retry: bool = True,
-) -> LSequence:
+def l_sequence(spec: SystemSpec, pair: SchedulePair, K: int, k0: int = 0) -> LSequence:
     """Run the decoupling recursion from L_{k0} = 0 up to L_K.
 
     Each step satisfies L_{k+1} (I - beta_k B11_k) = L_k - gamma_k A22 L_k
@@ -257,9 +248,10 @@ def l_sequence(
     skips the residual check.
 
     A singular step factor (a failed solve, or ||L_{k+1}|| non-finite or
-    above 1e6) means k0 is too small; with retry enabled the start index
-    doubles (0, 1, 2, 4, ...) while it stays within both K and 1024, and
-    SingularStep is raised once it would pass either.
+    above 1e6) means k0 is too small: the start index doubles (0, 1, 2, 4,
+    ...) while it stays within both K and 1024, and SingularStep is raised
+    once it would pass either.  `_l_sequence_run` is one attempt without
+    the retry.
     """
     if K < k0:
         raise ValueError(f"K={K} must be at least k0={k0}")
@@ -269,7 +261,7 @@ def l_sequence(
             seq = _l_sequence_run(spec, pair, K, start)
         except SingularStep:
             start = 1 if start == 0 else 2 * start
-            if not retry or start > min(K, _MAX_K0):
+            if start > min(K, _MAX_K0):
                 raise
             retries += 1
         else:
@@ -280,7 +272,7 @@ def l_sequence(
 def _l_sequence_run(spec: SystemSpec, pair: SchedulePair, K: int, k0: int) -> LSequence:
     n, m = spec.n, spec.m
     delta = delta_matrix(spec)
-    H = np.linalg.solve(spec.A22, spec.A21)
+    H = fast_coupling(spec)
 
     steps = K - k0
     ks = np.arange(k0, K)

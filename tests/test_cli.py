@@ -55,6 +55,17 @@ def mc_config(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def mc_rademacher_config(tmp_path):
+    # Per-step noise: the ensemble route that runs its chunks on a thread pool.
+    doc = dict(SYS_A_DOC)
+    doc["beta"] = {"base": 1.0, "tau": 1.0, "alpha": 1.0}
+    doc["noise"] = dict(SYS_A_DOC["noise"], distribution="scaled-rademacher")
+    path = tmp_path / "sys_a_mc_rademacher.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_validate_passes(sys_a_config, capsys):
     assert cli.main(["validate", "--config", sys_a_config]) == 0
     out = capsys.readouterr().out
@@ -250,6 +261,28 @@ def test_run_divergent_config_reports_step(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().out.lower()
 
 
+def test_run_propagate_divergence_names_the_moment_cutoff(tmp_path, capsys):
+    doc = dict(SYS_A_DOC)
+    doc["A11"] = [[-2.0]]  # reduced drift -3: unstable
+    doc["beta"] = {"base": 1.0, "tau": 1e6, "alpha": 1.0}
+    doc["gamma"] = {"base": 1.0, "tau": 1e6, "alpha": 0.7}
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(
+        ["run", "--config", str(path), "--mode", "propagate", "--skip-validate", "--steps", "2000"]
+    )
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "diverged: second-moment entry above 1e+24 in magnitude at step" in out
+
+
+def test_run_negative_seed_exits_1(mc_config, capsys):
+    argv = ["run", "--config", mc_config, "--mode", "ensemble", "--replicas", "8",
+            "--steps", "10", "--seed", "-1"]
+    assert cli.main(argv) == 1
+    assert "malformed configuration" in capsys.readouterr().err
+
+
 def test_run_gate_blocks_invalid_without_skip(tmp_path):
     doc = dict(SYS_A_DOC)
     doc["A11"] = [[-2.0]]
@@ -313,12 +346,12 @@ def test_validate_rejects_run_flags(sys_a_config):
         cli.main(["validate", "--config", sys_a_config, "--steps", "5"])
 
 
-def test_seeded_runs_reproducible_across_jobs(mc_config, tmp_path):
+def test_seeded_runs_reproducible_across_jobs(mc_rademacher_config, tmp_path):
     outs = []
     for jobs, name in ((1, "a.csv"), (4, "b.csv")):
         path = tmp_path / name
         code = cli.main(
-            ["run", "--config", mc_config, "--mode", "ensemble",
+            ["run", "--config", mc_rademacher_config, "--mode", "ensemble",
              "--replicas", "300", "--steps", "2000", "--seed", "11",
              "--jobs", str(jobs), "--out", str(path)]
         )

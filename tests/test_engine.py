@@ -447,8 +447,10 @@ def test_ensemble_zero_noise_from_fixed_point_is_exactly_zero(sys_a, sys_a_pair)
 
 
 def test_ensemble_bit_identical_across_jobs(sys_a, mc_pair):
-    a = run_ensemble(sys_a, mc_pair, 130, 700, [100, 700], base_seed=9, jobs=1)
-    b = run_ensemble(sys_a, mc_pair, 130, 700, [100, 700], base_seed=9, jobs=3)
+    # Per-step (Rademacher) ensembles are the ones that run chunks on a pool.
+    spec = rademacher(sys_a)
+    a = run_ensemble(spec, mc_pair, 130, 700, [100, 700], base_seed=9, jobs=1)
+    b = run_ensemble(spec, mc_pair, 130, 700, [100, 700], base_seed=9, jobs=3)
     for cp_a, cp_b in zip(a.checkpoints, b.checkpoints):
         assert np.array_equal(cp_a.theta_hat, cp_b.theta_hat)
         assert np.array_equal(cp_a.r_hat, cp_b.r_hat)
@@ -457,11 +459,12 @@ def test_ensemble_bit_identical_across_jobs(sys_a, mc_pair):
 def test_ensemble_threads_share_state_without_lost_updates(sys_a, mc_pair):
     # More workers than cores and a short switch interval: every chunk writes
     # its rows of the shared state and checkpoint arrays from its own thread.
-    serial = run_ensemble(sys_a, mc_pair, 300, 1500, [0, 700, 1500], base_seed=4, jobs=1)
+    spec = rademacher(sys_a)
+    serial = run_ensemble(spec, mc_pair, 300, 1500, [0, 700, 1500], base_seed=4, jobs=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = run_ensemble(sys_a, mc_pair, 300, 1500, [0, 700, 1500], base_seed=4, jobs=4)
+        threaded = run_ensemble(spec, mc_pair, 300, 1500, [0, 700, 1500], base_seed=4, jobs=4)
     finally:
         sys.setswitchinterval(interval)
     for cp_s, cp_t in zip(serial.checkpoints, threaded.checkpoints):
@@ -771,3 +774,14 @@ def test_segment_draws_keys_do_not_alias():
     assert not np.array_equal(draws, _segment_draws(5 + 3 * 2**32, 4, 0, 1, 2))
     assert not np.array_equal(draws, _segment_draws(5, 4, 3, 1, 2))
     assert np.array_equal(draws, _segment_draws(5, 3, 4, 2, 2)[:1])
+
+
+def test_standard_tile_keys_do_not_alias():
+    # The same spelling in the per-step tiles: the seed fills its own
+    # fixed-width entropy words, so no seed reuses another seed's tiles.
+    for distribution in ("gaussian", "scaled-rademacher"):
+        tile = _standard_tile(5, 3, 4, 2, distribution)
+        assert not np.array_equal(tile, _standard_tile(5 + 3 * 2**32, 4, 0, 2, distribution))
+        assert not np.array_equal(tile, _standard_tile(5 + 2**64, 3, 4, 2, distribution))
+    with pytest.raises(ValueError):
+        _standard_tile(-1, 0, 0, 2, "gaussian")

@@ -21,7 +21,7 @@ from twoscale.errors import AssumptionViolation, SingularStep
 from twoscale.linalg import solve_sylvester
 from twoscale import theory
 from twoscale.cli import _csv_lines
-from twoscale.model import delta_matrix
+from twoscale.model import delta_matrix, validate_system
 from twoscale.theory import noise_equivalent_covariance
 
 
@@ -63,6 +63,37 @@ def test_predict_preconditions_enforced(sys_a):
         predict_full(sys_a, beta_bar=3.0)  # shifted drift unstable
     with pytest.raises(AssumptionViolation):
         predict_reduced(sys_a, beta_bar=3.0)
+
+
+STABILITY_CHECKS = ("fast-matrix-stable", "reduced-matrix-stable", "shifted-reduced-matrix-stable")
+
+
+@pytest.mark.parametrize(
+    "slow",
+    [StepSchedule(1.0, 10.0, 0.9), StepSchedule(1.0, 10.0, 1.0), StepSchedule(1.0, 1.0, 1.0),
+     StepSchedule(1.0 / 3.0, 1.0, 1.0)],
+    ids=["beta_bar-0", "beta_bar-0.1", "beta_bar-1", "beta_bar-3"],
+)
+def test_predict_refuses_exactly_what_validate_fails(slow):
+    pair = SchedulePair(slow=slow, fast=StepSchedule(1.0, 10.0, 0.7))
+    rng = np.random.default_rng(8)
+    outcomes = set()
+    for i in range(50):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        spec = random_stable_system(rng, n, m, drift_margin=float(rng.uniform(0.05, 2.0)))
+        if i % 3 == 0:  # unstructured drift: any of the checks may fail
+            spec = replace(spec, A11=rng.standard_normal((n, n)), A22=rng.standard_normal((m, m)))
+        report = validate_system(spec, pair)
+        failed = [c.name for c in report.checks if c.name in STABILITY_CHECKS and not c.passed]
+        outcomes.add(tuple(failed))
+        for predict in (predict_full, predict_reduced):
+            if failed:
+                with pytest.raises(AssumptionViolation) as exc:
+                    predict(spec, pair.beta_bar)
+                assert exc.value.failures == failed
+            else:
+                predict(spec, pair.beta_bar)
+    assert () in outcomes and len(outcomes) > 1
 
 
 def test_noise_equivalent_covariance_reference(sys_a):
@@ -237,14 +268,14 @@ def test_l_sequence_singular_step_and_retry(sys_a):
     # slow base 1 makes the k=0 step factor exactly singular (beta_0 B11 = 1)
     pair = SchedulePair(slow=StepSchedule(1.0, 1.0, 1.0), fast=StepSchedule(1.0, 1.0, 0.7))
     with pytest.raises(SingularStep):
-        l_sequence(sys_a, pair, K=50, retry=False)
-    seq = l_sequence(sys_a, pair, K=50, retry=True)
+        theory._l_sequence_run(sys_a, pair, 50, 0)
+    seq = l_sequence(sys_a, pair, K=50)
     assert seq.k0 == 1
     assert np.isfinite(seq.final_norm)
 
 
 def test_l_sequence_at_returns_zero_before_start(sys_a, sys_a_pair):
-    seq = l_sequence(sys_a, sys_a_pair, K=10, k0=4, retry=False)
+    seq = theory._l_sequence_run(sys_a, sys_a_pair, 10, 4)
     assert np.array_equal(seq.at(2), np.zeros((1, 1)))
     assert seq.at(4) is seq.values[0] or np.array_equal(seq.at(4), seq.values[0])
 
@@ -344,7 +375,7 @@ def test_l_sequence_singular_step_matches_loop(sys_a, case):
     with pytest.raises(SingularStep) as ref_exc:
         loop_l_sequence(spec, pair, K=50, retry=False)
     with pytest.raises(SingularStep) as exc:
-        l_sequence(spec, pair, K=50, retry=False)
+        theory._l_sequence_run(spec, pair, 50, 0)
     assert exc.value.step == ref_exc.value.step
     k0, ref = loop_l_sequence(spec, pair, K=50)
     seq = l_sequence(spec, pair, K=50)
