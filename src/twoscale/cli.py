@@ -71,7 +71,11 @@ class RunConfig:
 def load_config(path: str, args=None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise TypeError(f"configuration must be a JSON object, not {type(doc).__name__}")
     run = doc.get("run", {})
+    if not isinstance(run, dict):
+        raise TypeError(f'"run" must be a JSON object, not {type(run).__name__}')
     cfg = RunConfig(system=SystemSpec.from_dict(doc), schedules=SchedulePair.from_dict(doc))
     for attr in ("replicas", "steps", "seed", "jobs", "stride"):
         setattr(cfg, attr, int(run.get(attr, getattr(cfg, attr))))

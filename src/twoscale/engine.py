@@ -38,7 +38,7 @@ when W itself overflowed, Q is undefined and the replay reads the per-step
 stream's draws instead.  Every other route draws per step and stays the
 pathwise reference.
 
-Determinism contract (stream layout 3)
+Determinism contract (stream layout 4)
 --------------------------------------
 Every generator is SFC64 seeded by `SeedSequence(entropy=base_seed,
 spawn_key=(domain, chunk, block))`: the seed alone fills the entropy pool,
@@ -53,7 +53,12 @@ whole (chunk, block) tile at a time, and the draw for (replica, step,
 coordinate c) is the tile entry
 [replica mod chunk, (step mod block) * d + c].  Tile shapes are fixed
 functions of d alone, so which values a replica sees never depends on N, K,
-checkpoints, chunk scheduling, or the degree of parallelism.
+checkpoints, chunk scheduling, or the degree of parallelism.  A Gaussian
+tile is the generator's standard normals in row-major order.  A
+scaled-Rademacher tile spends one raw bit per sign: with cols = block * d,
+entry [r, j] is 1 - 2 * ((w[i // 64] >> (i % 64)) & 1) for i = r * cols + j
+and w the generator's first NOISE_CHUNK * cols / 64 raw 64-bit words, so
+bit 0 gives +1.0 and bit 1 gives -1.0.
 
 Aggregated Gaussian draws are a pure function of (base_seed, replica,
 segment partition).  One generator per (chunk, block) fills
@@ -122,6 +127,11 @@ def _standard_tile(
 
     Shape (NOISE_CHUNK, noise_block_steps(dim) * dim); row r holds the draws
     of replica chunk_idx * NOISE_CHUNK + r for the block's steps, step-major.
+    Gaussian tiles are standard normals in that order.  Scaled-Rademacher
+    tiles take one raw bit per sign: the generator's next count // 64 raw
+    64-bit words, read least significant bit first, give flat entry i the
+    sign 1 - 2 * ((word[i // 64] >> (i % 64)) & 1), so bit 0 is +1.0 and
+    bit 1 is -1.0.
     """
     gen = _generator(base_seed, 0, chunk_idx, block_idx)
     block = noise_block_steps(dim)
@@ -129,9 +139,11 @@ def _standard_tile(
     if distribution == "gaussian":
         vals = gen.standard_normal(count)
     else:
-        # Unit-variance signs; one uniform per value keeps the tile layout
-        # identical for both distributions.
-        vals = np.where(gen.random(count) < 0.5, -1.0, 1.0)
+        # count is a multiple of 64 because NOISE_CHUNK is 64, so the tile
+        # takes whole words.
+        words = gen.bit_generator.random_raw(count // 64).astype("<u8", copy=False)
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+        vals = (1 - 2 * bits.view(np.int8)).astype(np.float64)
     return vals.reshape(NOISE_CHUNK, block * dim)
 
 

@@ -94,6 +94,18 @@ def test_malformed_json_exits_1(tmp_path):
     assert cli.main(["validate", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [[1], dict(SYS_A_DOC, run=[1])],
+    ids=["top-level-list", "run-list"],
+)
+def test_non_object_config_exits_1(tmp_path, capsys, doc):
+    path = tmp_path / "not_object.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert "malformed configuration: " in capsys.readouterr().err
+
+
 def test_missing_file_exits_1(tmp_path):
     assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
 

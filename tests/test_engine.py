@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -139,6 +140,73 @@ def test_noise_rademacher_values_and_covariance():
     z = chunk_draws(5, 0, 2, "scaled-rademacher", 4096).reshape(-1)
     assert set(np.unique(z)) == {-1.0, 1.0}
     assert abs(np.mean(z)) <= 3.0 / np.sqrt(len(z))
+    # Each chunk's draws as (step, coordinate) pairs: the second moment is I.
+    # Var(z_i z_j) is 1 off the diagonal and 0 on it, since z_i^2 = 1.  The
+    # 32 off-diagonal entries checked share one 4 SE bound (family-wise
+    # false alarm about 0.2%; 3 SE each would be about 8%).
+    for dim in (2, 6):
+        for chunk_idx in (0, 1):
+            pairs = chunk_draws(5, chunk_idx, dim, "scaled-rademacher", 4096).reshape(-1, dim)
+            cov = pairs.T @ pairs / len(pairs)
+            se = np.sqrt((1.0 - np.eye(dim)) / len(pairs))
+            assert np.all(np.abs(cov - np.eye(dim)) <= 4.0 * se), (dim, chunk_idx)
+
+
+def test_noise_rademacher_bit_positions_balanced():
+    # Flat tile entry i takes bit i % 64 of its raw word; every position
+    # carries a fair sign (4 SE each, 64 positions).
+    for dim in (2, 6):
+        z = chunk_draws(5, 0, dim, "scaled-rademacher", 8 * noise_block_steps(dim))
+        cols = noise_block_steps(dim) * dim
+        by_position = np.concatenate([z[:, i * cols : (i + 1) * cols].reshape(-1, 64) for i in range(8)])
+        means = by_position.mean(axis=0)
+        assert np.all(np.abs(means) <= 4.0 / np.sqrt(len(by_position))), dim
+
+
+def test_rademacher_tile_matches_raw_bit_oracle():
+    # Layout 4, written out with Python ints: entry [r, j] of a tile with
+    # rows of cols = block * d values is the sign of bit (r * cols + j) % 64
+    # of raw word (r * cols + j) // 64, bit 0 giving +1.
+    rng = np.random.default_rng(0)
+    for seed, chunk_idx, block_idx, dim in [(5, 0, 0, 2), (11, 3, 2, 6), (2**40 + 1, 1, 7, 3)]:
+        tile = _standard_tile(seed, chunk_idx, block_idx, dim, "scaled-rademacher")
+        cols = noise_block_steps(dim) * dim
+        assert tile.shape == (64, cols)
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(0, chunk_idx, block_idx))
+        words = [int(w) for w in np.random.SFC64(seq).random_raw(cols)]  # 64 * cols bits
+        picks = [(0, 0), (0, 63), (0, 64), (63, cols - 1)]
+        picks += [(int(r), int(j)) for r, j in zip(rng.integers(64, size=200), rng.integers(cols, size=200))]
+        for r, j in picks:
+            i = r * cols + j
+            assert tile[r, j] == 1 - 2 * ((words[i // 64] >> (i % 64)) & 1), (seed, r, j)
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+# sha256 of the little-endian float64 bytes.  The Gaussian tiles and the
+# segment draws are unchanged since stream layout 3; the scaled-Rademacher
+# tiles are those of layout 4.
+GOLDEN = {
+    ("gaussian", 2): "6cd4b326f84ea8efc8f85eddb024074d3f09c7474fc628fb1e9dc6a58e29a25f",
+    ("gaussian", 6): "e2e7349126c7245a04ec29e82352445dceb325a1fc25c6bfe2692b87fd2bb68e",
+    ("scaled-rademacher", 2): "3c825b34da8b38ddbe798df79b07a758cb34ccbe7fa27bccbd84a163e33c7b5d",
+    ("scaled-rademacher", 6): "febb119819ed25a2301c88c1ca74c3ef481bc3b242517fe09bebddc3c7e48d5e",
+    ("segments", 2): "84ea0308863264d9f89a5cb77fc6ee52dbb2a5b257c80e280766fcb4c1099238",
+    ("segments", 6): "f9dec2c94499e2e576a41e9fbb5f778109178974893324bd93bf81dd52991792",
+}
+
+
+@pytest.mark.parametrize("dim", [2, 6])
+@pytest.mark.parametrize("distribution", ["gaussian", "scaled-rademacher"])
+def test_standard_tile_golden_digest(distribution, dim):
+    assert _digest(_standard_tile(7, 1, 2, dim, distribution)) == GOLDEN[distribution, dim]
+
+
+@pytest.mark.parametrize("dim", [2, 6])
+def test_segment_draws_golden_digest(dim):
+    assert _digest(_segment_draws(7, 1, 2, 3, dim)) == GOLDEN["segments", dim]
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +581,26 @@ def test_ensemble_matches_exact_propagation(sys_a, mc_pair):
     z0 = -np.concatenate([theta_star, r_star])
     trace = propagate_covariance(sys_a, mc_pair, np.outer(z0, z0), K, [K])
     exact = trace[-1]
+    assert np.all(np.abs(S11 - exact.Sigma11) <= 4.0 * SE11)
+    assert np.all(np.abs(S12 - exact.Sigma12) <= 4.0 * SE12)
+    assert np.all(np.abs(S22 - exact.Sigma22) <= 4.0 * SE22)
+
+
+def test_rademacher_ensemble_matches_exact_propagation(sys_a, mc_pair):
+    # Scaled-Rademacher replicas read the per-step stream; propagation sees
+    # only Gamma, so it is the same reference as for Gaussian noise.
+    from twoscale.estimator import scaled_covariances, standard_errors
+
+    spec = rademacher(sys_a)
+    N, K = 10**4, 2048
+    res = run_ensemble(spec, mc_pair, N, K, [K], base_seed=13, jobs=2)
+    cp = res.final
+    S11, S12, S22 = scaled_covariances(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
+    SE11, SE12, SE22 = standard_errors(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
+
+    theta_star, r_star = fixed_point(spec)
+    z0 = -np.concatenate([theta_star, r_star])
+    exact = propagate_covariance(spec, mc_pair, np.outer(z0, z0), K, [K])[-1]
     assert np.all(np.abs(S11 - exact.Sigma11) <= 4.0 * SE11)
     assert np.all(np.abs(S12 - exact.Sigma12) <= 4.0 * SE12)
     assert np.all(np.abs(S22 - exact.Sigma22) <= 4.0 * SE22)
