@@ -18,7 +18,6 @@ from .theory import (
     predict_full,
     predict_reduced,
 )
-from . import cli
 
 __version__ = "0.1.0"
 
@@ -28,7 +27,6 @@ __all__ = [
     "StepSchedule",
     "SystemSpec",
     "averaging_system",
-    "cli",
     "gained_reduced_covariance",
     "gained_system",
     "l_sequence",

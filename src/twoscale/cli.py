@@ -8,9 +8,12 @@ Exit codes form a stable contract:
     3  internal inconsistency (independent solution routes disagree)
 
 The configuration is one JSON document holding the system matrices (row
-major nested arrays), the noise blocks under "noise", the two schedules
-under "beta" and "gamma", and optional run parameters under "run" that the
-command-line flags override.
+major nested arrays), the noise blocks under "noise" and the two schedules
+under "beta" and "gamma".  It holds no run parameters: a "run" entry exits 1.
+Run parameters are command-line flags, each default declared once in
+`build_parser`: `run` uses N = 1000 replicas, K = 10000 steps, seed 0,
+jobs 1 and a transformed-check stride of K // 100; `averaging` uses
+N = 4000 and K = 100000.
 """
 
 from __future__ import annotations
@@ -42,51 +45,30 @@ PREDICT_CONSISTENCY_TOL = 1e-8
 
 @dataclass
 class RunConfig:
-    """Parsed configuration plus run parameters, flags taking precedence."""
+    """The system and its two step-size schedules, as read from a configuration."""
 
     system: SystemSpec
     schedules: SchedulePair
-    replicas: int = 1000
-    steps: int = 10000
-    seed: int = 0
-    jobs: int = 1
-    stride: int = 0  # 0 means auto
-    checkpoints: list[int] | None = None
-    out: str | None = None
 
     def canonical(self) -> str:
         doc = self.system.to_dict()
         doc.update(self.schedules.to_dict())
-        doc["run"] = {
-            "replicas": self.replicas,
-            "steps": self.steps,
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "stride": self.stride,
-            "checkpoints": self.checkpoints,
-        }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def load_config(path: str, args=None) -> RunConfig:
+def _read_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise TypeError(f"configuration must be a JSON object, not {type(doc).__name__}")
-    run = doc.get("run", {})
-    if not isinstance(run, dict):
-        raise TypeError(f'"run" must be a JSON object, not {type(run).__name__}')
-    cfg = RunConfig(system=SystemSpec.from_dict(doc), schedules=SchedulePair.from_dict(doc))
-    for attr in ("replicas", "steps", "seed", "jobs", "stride"):
-        setattr(cfg, attr, int(run.get(attr, getattr(cfg, attr))))
-    if run.get("checkpoints"):
-        cfg.checkpoints = [int(c) for c in run["checkpoints"]]
-    if args is not None:
-        for attr in ("replicas", "steps", "seed", "jobs", "stride", "out"):
-            val = getattr(args, attr, None)
-            if val is not None:
-                setattr(cfg, attr, val)
-    return cfg
+    return doc
+
+
+def load_config(path: str) -> RunConfig:
+    doc = _read_object(path)
+    if "run" in doc:
+        raise ValueError('a "run" entry is not accepted: run parameters are command-line flags')
+    return RunConfig(system=SystemSpec.from_dict(doc), schedules=SchedulePair.from_dict(doc))
 
 
 def geometric_checkpoints(K: int) -> list[int]:
@@ -137,8 +119,8 @@ def _validation_gate(cfg: RunConfig, skip: bool) -> int | None:
     return None
 
 
-def _predict_full(cfg: RunConfig) -> theory.CovariancePrediction:
-    """The full-chain prediction, refused when the step-size ratio limit is positive.
+def _require_two_time_scales(cfg: RunConfig) -> None:
+    """Refuse a positive step-size ratio limit before anything is computed.
 
     The limit equations hold for epsilon = 0 only; a single-time-scale
     config would otherwise get the two-time-scale numbers without warning.
@@ -148,11 +130,10 @@ def _predict_full(cfg: RunConfig) -> theory.CovariancePrediction:
         print(f"time-scale-separation: epsilon = {epsilon:.6g} > 0, "
               "but the limit equations assume epsilon = 0")
         raise AssumptionViolation(["time-scale-separation"])
-    return theory.predict_full(cfg.system, cfg.schedules.beta_bar)
 
 
 def cmd_validate(args) -> int:
-    cfg = load_config(args.config, args)
+    cfg = load_config(args.config)
     report = validate_system(cfg.system, cfg.schedules)
     for line in report.lines():
         print(line)
@@ -161,11 +142,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = load_config(args.config, args)
+    cfg = load_config(args.config)
     gate = _validation_gate(cfg, args.skip_validate)
     if gate is not None:
         return gate
-    pred = _predict_full(cfg)
+    _require_two_time_scales(cfg)
+    pred = theory.predict_full(cfg.system, cfg.schedules.beta_bar)
     reduced = theory.predict_reduced(cfg.system, cfg.schedules.beta_bar)
     opt_cov, g1_opt, g_opt = theory.optimal_gain_covariance(cfg.system)
 
@@ -190,20 +172,20 @@ def cmd_predict(args) -> int:
         for i, row in enumerate(M.tolist())
         for j, v in enumerate(row)
     )
-    _write_lines(_csv_lines(["matrix", "row", "col", "value"], rows), cfg.out)
+    _write_lines(_csv_lines(["matrix", "row", "col", "value"], rows), args.out)
     if discrepancy >= PREDICT_CONSISTENCY_TOL:
         print("solver routes disagree beyond tolerance")
         return EXIT_INTERNAL
     return EXIT_OK
 
 
-def _run_propagate(cfg: RunConfig) -> int:
-    cps = cfg.checkpoints or geometric_checkpoints(cfg.steps)
-    trace = engine.propagate_covariance(cfg.system, cfg.schedules, None, cfg.steps, cps)
-    pred = _predict_full(cfg)
+def _run_propagate(cfg: RunConfig, args) -> int:
+    cps = geometric_checkpoints(args.steps)
+    trace = engine.propagate_covariance(cfg.system, cfg.schedules, None, args.steps, cps)
+    pred = theory.predict_full(cfg.system, cfg.schedules.beta_bar)
 
     rows = [(cp.k, cp.beta, cp.gamma, cp.Sigma11, cp.Sigma12, cp.Sigma22) for cp in trace]
-    _write_lines(_covariance_lines(cfg, rows), cfg.out)
+    _write_lines(_covariance_lines(cfg, rows), args.out)
 
     final = trace[-1]
     err = float(np.linalg.norm(final.Sigma11 - pred.Sigma11) / np.linalg.norm(pred.Sigma11))
@@ -232,10 +214,10 @@ def _entrywise_pass(est, pred, se) -> bool:
     return bool(np.all(err <= tol))
 
 
-def _run_ensemble(cfg: RunConfig) -> int:
-    cps = cfg.checkpoints or geometric_checkpoints(cfg.steps)
+def _run_ensemble(cfg: RunConfig, args) -> int:
+    cps = geometric_checkpoints(args.steps)
     result = engine.run_ensemble(
-        cfg.system, cfg.schedules, cfg.replicas, cfg.steps, cps, cfg.seed, jobs=cfg.jobs
+        cfg.system, cfg.schedules, args.replicas, args.steps, cps, args.seed, jobs=args.jobs
     )
     rows = [
         (cp.k, cp.beta, cp.gamma,
@@ -243,9 +225,9 @@ def _run_ensemble(cfg: RunConfig) -> int:
         for cp in result.checkpoints
         if cp.k > 0
     ]
-    _write_lines(_covariance_lines(cfg, rows), cfg.out)
+    _write_lines(_covariance_lines(cfg, rows), args.out)
 
-    pred = _predict_full(cfg)
+    pred = theory.predict_full(cfg.system, cfg.schedules.beta_bar)
     cp = result.final
     S11, S12, S22 = estimator.scaled_covariances(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
     SE11, SE12, SE22 = estimator.standard_errors(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
@@ -257,27 +239,28 @@ def _run_ensemble(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def _run_normality(cfg: RunConfig) -> int:
+def _run_normality(cfg: RunConfig, args) -> int:
     result = engine.run_ensemble(
-        cfg.system, cfg.schedules, cfg.replicas, cfg.steps, [cfg.steps], cfg.seed, jobs=cfg.jobs
+        cfg.system, cfg.schedules, args.replicas, args.steps, [args.steps], args.seed,
+        jobs=args.jobs,
     )
-    pred = _predict_full(cfg)
+    pred = theory.predict_full(cfg.system, cfg.schedules.beta_bar)
     cp = result.final
     report = estimator.normality_check(cp.theta_hat, cp.beta, pred.Sigma11)
     for line in report.lines():
         print(line)
-    if cfg.out:
+    if args.out:
         row = report.csv_row()
-        _write_lines(_csv_lines(list(row), [tuple(row.values())]), cfg.out)
+        _write_lines(_csv_lines(list(row), [tuple(row.values())]), args.out)
     return EXIT_OK if report.passed else EXIT_TOLERANCE
 
 
-def _run_transformed_check(cfg: RunConfig) -> int:
-    stride = cfg.stride or max(1, cfg.steps // 100)
-    stream = engine.noise_stream(cfg.system, cfg.seed, 0)
-    states = engine.simulate(cfg.system, cfg.schedules, None, cfg.steps, stream, stride)
+def _run_transformed_check(cfg: RunConfig, args) -> int:
+    stride = args.stride or max(1, args.steps // 100)
+    stream = engine.noise_stream(cfg.system, args.seed, 0)
+    states = engine.simulate(cfg.system, cfg.schedules, None, args.steps, stream, stride)
     run = engine.simulate_transformed(
-        cfg.system, cfg.schedules, cfg.steps, stream, record_stride=stride
+        cfg.system, cfg.schedules, args.steps, stream, record_stride=stride
     )
     rebuilt = engine.reconstruct_original(cfg.system, run)
     by_k = {st.k: st for st in states}
@@ -307,16 +290,17 @@ _MODES = {
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config, args)
+    cfg = load_config(args.config)
     gate = _validation_gate(cfg, args.skip_validate)
     if gate is not None:
         return gate
-    return _MODES[args.mode](cfg)
+    if args.mode != "transformed-check":
+        _require_two_time_scales(cfg)
+    return _MODES[args.mode](cfg, args)
 
 
 def cmd_averaging(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_object(args.config)
     A = np.asarray(doc["A"], dtype=np.float64)
     b = np.asarray(doc["b"], dtype=np.float64)
     Gamma = np.asarray(doc["Gamma"], dtype=np.float64)
@@ -328,13 +312,10 @@ def cmd_averaging(args) -> int:
         slow=StepSchedule(base=1.0, horizon_scale=1.0, exponent=1.0),
         fast=StepSchedule(base=0.5, horizon_scale=10.0, exponent=0.7),
     )
-    N = 4000 if args.replicas is None else args.replicas
-    K = 100000 if args.steps is None else args.steps
-    seed = 0 if args.seed is None else args.seed
-    jobs = 1 if args.jobs is None else args.jobs
+    K = args.steps
 
     predicted = theory.predict_reduced(spec, beta_bar=1.0)
-    result = engine.run_ensemble(spec, pair, N, K, [K], seed, jobs=jobs)
+    result = engine.run_ensemble(spec, pair, args.replicas, K, [K], args.seed, jobs=args.jobs)
     cp = result.final
     S11, _, _ = estimator.scaled_covariances(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
     SE11, _, _ = estimator.standard_errors(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
@@ -365,21 +346,23 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     }
     # Each flag goes to the subcommands that read it.
+    int_flag = dict(type=int, help="default: %(default)s")
     flags = [
         ("validate predict run averaging", ["--config"],
          dict(required=True, help="JSON configuration path")),
         ("run", ["--mode"], dict(choices=list(_MODES), required=True)),
-        ("run averaging", ["--replicas", "-N"], dict(type=int)),
-        ("run averaging", ["--steps", "-K"], dict(type=int)),
-        ("run averaging", ["--seed"], dict(type=int)),
-        ("run averaging", ["--jobs"], dict(type=int)),
-        ("run", ["--stride"], dict(type=int)),
+        ("run averaging", ["--replicas", "-N"], dict(int_flag, default=1000)),
+        ("run averaging", ["--steps", "-K"], dict(int_flag, default=10000)),
+        ("run averaging", ["--seed"], dict(int_flag, default=0)),
+        ("run averaging", ["--jobs"], dict(int_flag, default=1)),
+        ("run", ["--stride"], dict(type=int, help="default: steps // 100")),
         ("predict run", ["--out"], dict(help="output CSV path (default stdout)")),
         ("predict run", ["--skip-validate"], dict(action="store_true")),
     ]
     for users, names, kwargs in flags:
         for name in users.split():
             commands[name].add_argument(*names, **kwargs)
+    commands["averaging"].set_defaults(replicas=4000, steps=100000)
     return parser
 
 

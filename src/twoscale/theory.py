@@ -134,10 +134,7 @@ def predict_full(spec: SystemSpec, beta_bar: float) -> CovariancePrediction:
 def predict_reduced(spec: SystemSpec, beta_bar: float) -> np.ndarray:
     """Solve the single reduced equation for the slow block only."""
     _check_predict_preconditions(spec, beta_bar)
-    delta = delta_matrix(spec)
-    Q = noise_equivalent_covariance(spec)
-    shifted = delta - 0.5 * beta_bar * np.eye(spec.n)
-    return linalg.symmetrize(linalg.solve_sylvester(shifted, shifted.T, Q))
+    return gained_reduced_covariance(spec, np.eye(spec.n), beta_bar)
 
 
 def gained_reduced_covariance(spec: SystemSpec, G1, beta_bar: float) -> np.ndarray:

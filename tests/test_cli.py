@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,14 +100,21 @@ def test_malformed_json_exits_1(tmp_path):
 
 @pytest.mark.parametrize(
     "doc",
-    [[1], dict(SYS_A_DOC, run=[1])],
-    ids=["top-level-list", "run-list"],
+    [[1], dict(SYS_A_DOC, run=[1]), dict(SYS_A_DOC, run={"steps": 5})],
+    ids=["top-level-list", "run-list", "run-object"],
 )
 def test_non_object_config_exits_1(tmp_path, capsys, doc):
     path = tmp_path / "not_object.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["validate", "--config", str(path)]) == 1
     assert "malformed configuration: " in capsys.readouterr().err
+
+
+def test_averaging_non_object_config_exits_1(tmp_path, capsys):
+    path = tmp_path / "avg_list.json"
+    path.write_text("[1]")
+    assert cli.main(["averaging", "--config", str(path)]) == 1
+    assert "configuration must be a JSON object" in capsys.readouterr().err
 
 
 def test_missing_file_exits_1(tmp_path):
@@ -186,6 +197,22 @@ def test_predict_refuses_single_time_scale_config(tmp_path, capsys):
     assert cli.main(["predict", "--config", str(path), "--out", str(tmp_path / "p.csv")]) == 2
     captured = capsys.readouterr()
     assert "time-scale-separation" in captured.out + captured.err
+
+
+@pytest.mark.parametrize("mode", ["propagate", "ensemble", "normality"])
+def test_run_refuses_single_time_scale_before_computing(tmp_path, capsys, monkeypatch, mode):
+    def not_called(*args, **kwargs):
+        raise AssertionError("the run started before epsilon > 0 was refused")
+
+    monkeypatch.setattr(cli.engine, "run_ensemble", not_called)
+    monkeypatch.setattr(cli.engine, "propagate_covariance", not_called)
+    doc = dict(SYS_A_DOC)
+    doc["beta"] = {"base": 0.5, "tau": 10.0, "alpha": 0.7}  # epsilon = 0.5
+    doc["gamma"] = {"base": 1.0, "tau": 10.0, "alpha": 0.7}
+    path = tmp_path / "single_scale.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(path), "--mode", mode]) == 2
+    assert "time-scale-separation" in capsys.readouterr().out
 
 
 def test_run_propagate_converges(sys_a_config, tmp_path, capsys):
@@ -351,6 +378,38 @@ def test_averaging_divergence_reported_on_stdout(tmp_path, capsys):
     path.write_text(json.dumps({"A": [[100.0]], "b": [0.0], "Gamma": [[1.0]]}))
     assert cli.main(["averaging", "--config", str(path), "-N", "64", "-K", "2000"]) == 2
     assert "diverged" in capsys.readouterr().out
+
+
+class _Recorded(Exception):
+    pass
+
+
+def test_run_sizes_default_to_parser_values(mc_config, tmp_path, monkeypatch):
+    calls = []
+
+    def record(spec, pair, N, K, checkpoints, base_seed, jobs):
+        calls.append((N, K, base_seed, jobs, list(checkpoints)))
+        raise _Recorded
+
+    monkeypatch.setattr(cli.engine, "run_ensemble", record)
+    avg = tmp_path / "avg.json"
+    avg.write_text(json.dumps({"A": [[1.0]], "b": [0.0], "Gamma": [[1.0]]}))
+    for argv in (["run", "--config", mc_config, "--mode", "ensemble"],
+                 ["averaging", "--config", str(avg)]):
+        with pytest.raises(_Recorded):
+            cli.main(argv)
+    assert calls == [(1000, 10000, 0, 1, [100, 1000, 10000]), (4000, 100000, 0, 1, [100000])]
+
+
+def test_module_entry_point_runs_without_warnings(sys_a_config):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twoscale.cli", "validate", "--config", sys_a_config],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_validate_rejects_run_flags(sys_a_config):
