@@ -1,9 +1,12 @@
 """Power-law step-size schedules for the slow and fast iterations.
 
 A schedule evaluates to base / (1 + k / horizon_scale)**exponent with
-exponent in (1/2, 1].  Exponent 1 gives the classical 1/k decay whose
-inverse grows linearly; exponents below 1 decay slower and have vanishing
-inverse-difference limits.  A pair of schedules carries two derived limits:
+exponent in (1/2, 1].  Every such schedule is positive and nonincreasing,
+vanishes, and has divergent partial sums, so those assumptions hold by
+construction and are not checked.  Exponent 1 gives the classical 1/k decay
+whose inverse grows linearly; exponents below 1 decay slower and have
+vanishing inverse-difference limits.  A pair of schedules carries two
+derived limits:
 
 * epsilon: the limit of slow(k) / fast(k), which must exist and is zero
   exactly when the slow exponent is strictly larger;
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentRatio
-from .validation import ValidationReport
+from .validation import ValidationReport, reject_unknown_keys
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,7 @@ class StepSchedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepSchedule":
+        reject_unknown_keys(d, ("base", "tau", "alpha"), "schedule")
         return cls(base=float(d["base"]), horizon_scale=float(d["tau"]), exponent=float(d["alpha"]))
 
 
@@ -113,68 +117,25 @@ class SchedulePair:
 
 
 def validate_schedules(pair: SchedulePair) -> ValidationReport:
-    """Check a schedule pair against the step-size admissibility conditions.
+    """The schedule checks that can decide something: the two limits.
 
-    Failures are reported, never raised.  The power family satisfies
-    positivity, monotonicity, and divergent sums by construction, so those
-    checks record measured proxies; the substantive checks are the existence
-    of the ratio limit and the vanishing fast inverse-growth when the ratio
-    limit is zero.
+    Failures are reported, never raised.  The ratio limit epsilon must exist;
+    beta_bar always does and is listed for the shifted stability check that
+    reads it.  When epsilon exists, `time-scale-separation` records it and
+    notes whether the pair is in the two-time-scale regime (epsilon = 0).
     """
     report = ValidationReport()
-    probe = 10**9
-    for label, sched in (("slow", pair.slow), ("fast", pair.fast)):
-        decay = sched.value(probe) / sched.value(0)
-        report.add(
-            f"{label}-steps-positive-nonincreasing",
-            True,
-            measured=sched.value(0),
-            note="guaranteed by the power family",
-        )
-        report.add(
-            f"{label}-steps-vanish",
-            decay < 1e-2,
-            measured=decay,
-            threshold=1e-2,
-            note=f"value({probe:.0e})/value(0)",
-        )
-        report.add(
-            f"{label}-step-sums-diverge",
-            sched.exponent <= 1.0,
-            measured=sched.exponent,
-            threshold=1.0,
-            note="exponent <= 1 makes partial sums unbounded",
-        )
-
     try:
         eps = epsilon_limit(pair)
-        report.add("step-ratio-limit-exists", True, measured=eps)
     except DivergentRatio:
         eps = None
-        report.add(
-            "step-ratio-limit-exists",
-            False,
-            note="slow exponent below fast exponent: ratio diverges",
-        )
-
-    bbar = beta_bar_limit(pair.slow)
-    report.add("slow-inverse-growth-limit", True, measured=bbar)
-
-    if eps is not None and eps == 0.0:
-        fast_bar = beta_bar_limit(pair.fast)
-        report.add(
-            "fast-inverse-growth-vanishes",
-            fast_bar == 0.0,
-            measured=fast_bar,
-            threshold=0.0,
-        )
-    else:
-        report.add(
-            "fast-inverse-growth-vanishes",
-            True,
-            note="not required when the ratio limit is positive",
-        )
-
+    report.add(
+        "step-ratio-limit-exists",
+        eps is not None,
+        measured=eps,
+        note="" if eps is not None else "slow exponent below fast exponent: ratio diverges",
+    )
+    report.add("slow-inverse-growth-limit", True, measured=beta_bar_limit(pair.slow))
     if eps is not None:
         report.add(
             "time-scale-separation",

@@ -1,8 +1,16 @@
-"""Pass/fail reporting for schedule and system admissibility checks."""
+"""Pass/fail reporting for admissibility checks, and the key check for configuration documents."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+
+
+def reject_unknown_keys(doc: dict, allowed: Iterable[str], where: str) -> None:
+    """Raise ValueError naming every key of `doc` outside `allowed`."""
+    stray = sorted(set(doc) - set(allowed))
+    if stray:
+        raise ValueError(f"unknown {where} keys: {', '.join(map(repr, stray))}")
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ def test_criterion_2_running_average_recovery(tmp_path):
         "2 running-average recovery",
         time.perf_counter() - t0,
         120.0,
-        f"deterministic rel {rel:.2e}; empirical within 10% + 4 SE",
+        f"deterministic rel {rel:.2e}; empirical within 10% or 4 SE",
     )
 
 

@@ -76,6 +76,31 @@ def test_validate_passes(sys_a_config, capsys):
     assert "overall: pass" in out
 
 
+def test_validate_lists_only_checks_that_can_fail(sys_a_config, capsys):
+    assert cli.main(["validate", "--config", sys_a_config]) == 0
+    names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert names == [
+        "fast-matrix-stable",
+        "reduced-matrix-stable",
+        "shifted-reduced-matrix-stable",
+        "step-ratio-limit-exists",
+        "slow-inverse-growth-limit",
+        "time-scale-separation",
+        "overall",
+    ]
+
+
+def test_slowly_vanishing_fast_steps_validate_and_predict(tmp_path):
+    # gamma(1e9) / gamma(0) = 501^-0.7, about 0.013: slow to vanish, but a power-family step.
+    doc = dict(SYS_A_DOC, gamma={"base": 1.0, "tau": 2e6, "alpha": 0.7})
+    path = tmp_path / "slow_gamma.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--config", str(path)]) == 0
+    out_path = tmp_path / "pred.csv"
+    assert cli.main(["predict", "--config", str(path), "--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == SYS_A_PREDICT_CSV.encode()
+
+
 def test_validate_singular_fast_block_exits_2(tmp_path):
     doc = dict(SYS_A_DOC)
     doc["A22"] = [[0.0]]
@@ -108,6 +133,26 @@ def test_non_object_config_exits_1(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     assert cli.main(["validate", "--config", str(path)]) == 1
     assert "malformed configuration: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, doc, stray",
+    [
+        ("validate", dict(SYS_A_DOC, runs={"steps": 5}), "runs"),
+        ("validate", dict(SYS_A_DOC, noise=dict(SYS_A_DOC["noise"], distrbution="gaussian")),
+         "distrbution"),
+        ("validate", dict(SYS_A_DOC, beta=dict(SYS_A_DOC["beta"], Tau=5.0)), "Tau"),
+        ("averaging", {"A": [[1.0]], "b": [0.0], "Gamma": [[1.0]], "gamma": {}}, "gamma"),
+    ],
+    ids=["top-level", "noise", "schedule", "averaging"],
+)
+def test_unknown_config_keys_exit_1(tmp_path, capsys, command, doc, stray):
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(doc))
+    sizes = ["-N", "64", "-K", "200"] if command == "averaging" else []
+    assert cli.main([command, "--config", str(path)] + sizes) == 1
+    err = capsys.readouterr().err
+    assert "malformed configuration: " in err and repr(stray) in err
 
 
 def test_averaging_non_object_config_exits_1(tmp_path, capsys):
@@ -415,6 +460,19 @@ def test_module_entry_point_runs_without_warnings(sys_a_config):
 def test_validate_rejects_run_flags(sys_a_config):
     with pytest.raises(SystemExit):
         cli.main(["validate", "--config", sys_a_config, "--steps", "5"])
+    # Only `run` can skip the gate; `predict` would be refused by its own preconditions.
+    with pytest.raises(SystemExit):
+        cli.main(["predict", "--config", sys_a_config, "--skip-validate"])
+
+
+def test_readme_commands_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = [line.split()[1:] for line in readme.read_text().splitlines()
+                if line.startswith("twoscale ")]
+    assert len(commands) >= 7
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_seeded_runs_reproducible_across_jobs(mc_rademacher_config, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,17 @@ def test_averaging_validates_with_harmonic_slow_schedule():
 def test_validate_system_reference_pass(sys_a, sys_a_pair):
     report = validate_system(sys_a, sys_a_pair)
     assert report.passed
+
+
+def test_listed_thresholds_are_the_ones_applied(sys_a, sys_a_pair):
+    # -A22 = -5e-10 has a negative abscissa, yet fails the -1e-9 margin.
+    barely = replace(sys_a, A22=[[5e-10]])
+    for spec in (sys_a, barely):
+        checks = [c for c in validate_system(spec, sys_a_pair).checks if c.threshold is not None]
+        assert checks
+        for c in checks:
+            assert c.passed == (c.measured < c.threshold), c.format()
+    assert not validate_system(barely, sys_a_pair)["fast-matrix-stable"].passed
 
 
 def test_validate_system_large_inverse_growth_fails(sys_a):

@@ -17,7 +17,7 @@ from twoscale import (
     predict_full,
     predict_reduced,
 )
-from twoscale.errors import AssumptionViolation, SingularStep
+from twoscale.errors import AssumptionViolation, DivergentRatio, SingularStep
 from twoscale.linalg import solve_sylvester
 from twoscale import theory
 from twoscale.cli import _csv_lines
@@ -94,6 +94,31 @@ def test_predict_refuses_exactly_what_validate_fails(slow):
             else:
                 predict(spec, pair.beta_bar)
     assert () in outcomes and len(outcomes) > 1
+
+
+def test_every_config_validate_fails_is_refused_by_predict():
+    # Unit, tiny (tau = 1e12) and harmonic steps; ratio limits 0, positive and divergent.
+    slows = [StepSchedule(1.0, 1.0, 1.0), StepSchedule(1.0 / 3.0, 1.0, 1.0),
+             StepSchedule(1.0, 1e12, 1.0), StepSchedule(1.0, 1e6, 0.8)]
+    fasts = [StepSchedule(1.0, 10.0, 0.7), StepSchedule(1.0, 1e12, 0.7),
+             StepSchedule(1.0, 1e6, 0.8), StepSchedule(1.0, 1.0, 0.9)]
+    rng = np.random.default_rng(23)
+    verdicts = set()
+    for i in range(200):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        spec = random_stable_system(rng, n, m, drift_margin=0.8 if i % 2 else -0.5)
+        for slow in slows:
+            for fast in fasts:
+                pair = SchedulePair(slow=slow, fast=fast)
+                passed = validate_system(spec, pair).passed
+                verdicts.add(passed)
+                if passed:
+                    continue
+                # `predict` reads the ratio limit first, then the solver preconditions.
+                with pytest.raises((AssumptionViolation, DivergentRatio)):
+                    pair.epsilon
+                    predict_full(spec, pair.beta_bar)
+    assert verdicts == {True, False}
 
 
 def test_noise_equivalent_covariance_reference(sys_a):
