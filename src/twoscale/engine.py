@@ -48,17 +48,17 @@ is refused).  Domain 0 serves per-step tiles, domain 1 aggregated draws.
 Per-step draws -- `NoiseStream`, `simulate`, `simulate_transformed` and
 Rademacher ensembles -- are a pure function of (base_seed, replica, step).
 Replicas are grouped into chunks of NOISE_CHUNK and steps into blocks of
-noise_block_steps(d) for joint noise dimension d; one generator fills a
-whole (chunk, block) tile at a time, and the draw for (replica, step,
-coordinate c) is the tile entry
-[replica mod chunk, (step mod block) * d + c].  Tile shapes are fixed
-functions of d alone, so which values a replica sees never depends on N, K,
-checkpoints, chunk scheduling, or the degree of parallelism.  A Gaussian
-tile is the generator's standard normals in row-major order.  A
-scaled-Rademacher tile spends one raw bit per sign: with cols = block * d,
-entry [r, j] is 1 - 2 * ((w[i // 64] >> (i % 64)) & 1) for i = r * cols + j
-and w the generator's first NOISE_CHUNK * cols / 64 raw 64-bit words, so
-bit 0 gives +1.0 and bit 1 gives -1.0.
+noise_block_steps(d) for joint noise dimension d; one generator per
+(chunk, block) fills that tile in row-major order, so a reader generates
+only the rows up to the last one it needs, and the draw for (replica,
+step, coordinate c) is the tile entry [replica mod chunk,
+(step mod block) * d + c].  Tile shapes are fixed functions of d alone, so
+which values a replica sees never depends on N, K, checkpoints, chunk
+scheduling, or the degree of parallelism.  A Gaussian tile is the
+generator's standard normals in row-major order.  A scaled-Rademacher tile
+spends one raw bit per sign: with cols = block * d, entry [r, j] is
+1 - 2 * ((w[i // 64] >> (i % 64)) & 1) for i = r * cols + j and w the
+generator's raw 64-bit words, so bit 0 gives +1.0 and bit 1 gives -1.0.
 
 Aggregated Gaussian draws are a pure function of (base_seed, replica,
 segment partition).  One generator per (chunk, block) fills
@@ -121,30 +121,30 @@ def _segment_draws(
 
 
 def _standard_tile(
-    base_seed: int, chunk_idx: int, block_idx: int, dim: int, distribution: str
+    base_seed: int, chunk_idx: int, block_idx: int, dim: int, distribution: str, rows=NOISE_CHUNK
 ) -> np.ndarray:
-    """Standardized draws for one (replica chunk, step block) tile.
+    """Standardized draws for the first rows rows of one (replica chunk, step block) tile.
 
-    Shape (NOISE_CHUNK, noise_block_steps(dim) * dim); row r holds the draws
-    of replica chunk_idx * NOISE_CHUNK + r for the block's steps, step-major.
-    Gaussian tiles are standard normals in that order.  Scaled-Rademacher
-    tiles take one raw bit per sign: the generator's next count // 64 raw
-    64-bit words, read least significant bit first, give flat entry i the
-    sign 1 - 2 * ((word[i // 64] >> (i % 64)) & 1), so bit 0 is +1.0 and
-    bit 1 is -1.0.
+    Shape (rows, noise_block_steps(dim) * dim); row r holds the draws of
+    replica chunk_idx * NOISE_CHUNK + r for the block's steps, step-major,
+    and does not depend on rows.  Gaussian tiles are standard normals in
+    that order.  Scaled-Rademacher tiles take one raw bit per sign: the
+    generator's raw 64-bit words, read least significant bit first, give
+    flat entry i the sign 1 - 2 * ((word[i // 64] >> (i % 64)) & 1), so
+    bit 0 is +1.0 and bit 1 is -1.0.
     """
     gen = _generator(base_seed, 0, chunk_idx, block_idx)
-    block = noise_block_steps(dim)
-    count = NOISE_CHUNK * block * dim
+    cols = noise_block_steps(dim) * dim
+    count = rows * cols
     if distribution == "gaussian":
         vals = gen.standard_normal(count)
     else:
-        # count is a multiple of 64 because NOISE_CHUNK is 64, so the tile
-        # takes whole words.
-        words = gen.bit_generator.random_raw(count // 64).astype("<u8", copy=False)
-        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+        # cols need not be a multiple of 64 (4092 at dim 6): draw whole
+        # words and drop the bits past the last row.
+        words = gen.bit_generator.random_raw(-(-count // 64)).astype("<u8", copy=False)
+        bits = np.unpackbits(words.view(np.uint8), count=count, bitorder="little")
         vals = (1 - 2 * bits.view(np.int8)).astype(np.float64)
-    return vals.reshape(NOISE_CHUNK, block * dim)
+    return vals.reshape(rows, cols)
 
 
 @dataclass
@@ -171,7 +171,7 @@ class NoiseStream:
         row = self._rows.get(block_idx)
         if row is None:
             chunk_idx, r = divmod(self.replica, NOISE_CHUNK)
-            tile = _standard_tile(self.base_seed, chunk_idx, block_idx, self.dim, self.distribution)
+            tile = _standard_tile(self.base_seed, chunk_idx, block_idx, self.dim, self.distribution, r + 1)
             row = self._rows[block_idx] = tile[r].reshape(-1, self.dim).copy()
         return row
 
@@ -579,7 +579,7 @@ def run_ensemble(
         key = (base_seed, replicas.start // NOISE_CHUNK, t0 // block)
 
         def per_step(tile, a, b):
-            return tile[:count, (a - t0) * d : (b - t0) * d]
+            return tile[:, (a - t0) * d : (b - t0) * d]
 
         if aggregated:
             draws = _segment_draws(*key, len(segments), d)[:, :count]
@@ -593,9 +593,10 @@ def run_ensemble(
                 if np.all(np.isfinite(W)):
                     return (U @ np.linalg.qr(W)[0].T).reshape(count, b - a, d)
                 # The aggregate itself overflowed: replay the per-step stream.
-                return per_step(_standard_tile(*key, d, "gaussian"), a, b).reshape(count, b - a, d)
+                tile = _standard_tile(*key, d, "gaussian", count)
+                return per_step(tile, a, b).reshape(count, b - a, d)
         else:
-            tile = _standard_tile(*key, d, spec.noise.distribution)
+            tile = _standard_tile(*key, d, spec.noise.distribution, count)
             read, step_inputs = functools.partial(per_step, tile), None
 
         with np.errstate(over="ignore", invalid="ignore"):

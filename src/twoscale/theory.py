@@ -234,15 +234,15 @@ def l_sequence(spec: SystemSpec, pair: SchedulePair, K: int, k0: int = 0) -> LSe
         Phi_k = [[I - beta_k Delta,  beta_k A12                        ],
                  [beta_k H Delta,    I - gamma_k A22 - beta_k H A12    ]].
 
-    Steps are taken in blocks: from [I; L_a], one suffix-product scan gives
-    every prefix product of the block's Phi_k and one batched solve gives
-    L = Y X^{-1} at each step.  Products lose precision as a block spans
-    more step-size mass, so each step is checked against the recursion
-    itself and the block is kept only up to its first step whose residual
-    exceeds a fixed tolerance relative to ||L_k|| + ||L_{k+1}||.  Block
-    lengths start at one, double after a fully accepted block up to a cap,
-    and halve otherwise.  A block of one step is the direct solve above and
-    skips the residual check.
+    Steps are taken in blocks, each building only its own Phi_k: from
+    [I; L_a], one suffix-product scan gives every prefix product of the
+    block's Phi_k and one batched solve gives L = Y X^{-1} at each step.
+    Products lose precision as a block spans more step-size mass, so each
+    step is checked against the recursion itself and the block is kept
+    only up to its first step whose residual exceeds a fixed tolerance
+    relative to ||L_k|| + ||L_{k+1}||.  Block lengths start at one, double
+    after a fully accepted block up to a cap, and halve otherwise.  A block
+    of one step is the direct solve above and skips the residual check.
 
     A singular step factor (a failed solve, or ||L_{k+1}|| non-finite or
     above 1e6) means k0 is too small: the start index doubles (0, 1, 2, 4,
@@ -275,11 +275,6 @@ def _l_sequence_run(spec: SystemSpec, pair: SchedulePair, K: int, k0: int) -> LS
     ks = np.arange(k0, K)
     beta = pair.slow.values(ks)[:, None, None]
     gamma = pair.fast.values(ks)[:, None, None]
-    phi = np.empty((steps, n + m, n + m))
-    phi[:, :n, :n] = np.eye(n) - beta * delta
-    phi[:, :n, n:] = beta * spec.A12
-    phi[:, n:, :n] = beta * (H @ delta)
-    phi[:, n:, n:] = np.eye(m) - gamma * spec.A22 - beta * (H @ spec.A12)
 
     values = np.zeros((steps + 1, m, n))
     norms = np.zeros(steps + 1)
@@ -287,7 +282,7 @@ def _l_sequence_run(spec: SystemSpec, pair: SchedulePair, K: int, k0: int) -> LS
     while a < steps:
         b = min(steps, a + length)
         accepted = _scan_block(
-            spec, delta, H, phi[a:b], beta[a:b], gamma[a:b], values[a : b + 1], norms[a : b + 1]
+            spec, delta, H, beta[a:b], gamma[a:b], values[a : b + 1], norms[a : b + 1]
         )
         if accepted == 0 and b - a == 1:
             raise SingularStep(k0 + a)
@@ -303,13 +298,19 @@ def _recursion_residuals(spec: SystemSpec, delta, H, beta, gamma, L, L_next) -> 
     return np.linalg.norm(r, axis=(1, 2))
 
 
-def _scan_block(spec: SystemSpec, delta, H, phi, beta, gamma, values, norms) -> int:
-    """Extend values[0] = L_a through one block of maps phi; return the steps accepted.
+def _scan_block(spec: SystemSpec, delta, H, beta, gamma, values, norms) -> int:
+    """Extend values[0] = L_a through one block of steps; return the steps accepted.
 
+    The block's maps Phi_k are built here from its step sizes beta and gamma.
     The accepted steps are written to values[1:] and norms[1:].  A block of
     one step is a single solve of X' against Y' and skips the residual check.
     """
-    n = spec.n
+    n, m = spec.n, spec.m
+    phi = np.empty((len(beta), n + m, n + m))
+    phi[:, :n, :n] = np.eye(n) - beta * delta
+    phi[:, :n, n:] = beta * spec.A12
+    phi[:, n:, :n] = beta * (H @ delta)
+    phi[:, n:, n:] = np.eye(m) - gamma * spec.A22 - beta * (H @ spec.A12)
     # Suffix products of the reversed transposes are the transposed prefix
     # products: Pt[j] = (Phi_j ... Phi_0)'.
     Pt = linalg._suffix_products(phi[::-1].transpose(0, 2, 1).copy())[::-1]

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -244,6 +245,32 @@ def test_predict_refuses_single_time_scale_config(tmp_path, capsys):
     assert "time-scale-separation" in captured.out + captured.err
 
 
+def test_predict_writes_csv_to_stdout_without_out(sys_a_config, capsys):
+    assert cli.main(["predict", "--config", sys_a_config]) == 0
+    assert capsys.readouterr().out.endswith(SYS_A_PREDICT_CSV)
+
+
+def test_predict_gate_refusal_writes_no_csv(tmp_path, capsys):
+    doc = dict(SYS_A_DOC, A11=[[-2.0]])
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps(doc))
+    out_path = tmp_path / "p.csv"
+    assert cli.main(["predict", "--config", str(path), "--out", str(out_path)]) == 2
+    out = capsys.readouterr().out
+    assert "reduced-matrix-stable: FAIL" in out
+    assert out.endswith("validation failed\n")
+    assert not out_path.exists()
+
+
+def test_predict_exits_3_when_slow_block_routes_disagree(sys_a_config, tmp_path, capsys, monkeypatch):
+    reduced = cli.theory.predict_reduced
+    monkeypatch.setattr(
+        cli.theory, "predict_reduced", lambda spec, beta_bar: 1.01 * reduced(spec, beta_bar)
+    )
+    assert cli.main(["predict", "--config", sys_a_config, "--out", str(tmp_path / "p.csv")]) == 3
+    assert "solver routes disagree beyond tolerance" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("mode", ["propagate", "ensemble", "normality"])
 def test_run_refuses_single_time_scale_before_computing(tmp_path, capsys, monkeypatch, mode):
     def not_called(*args, **kwargs):
@@ -299,6 +326,19 @@ def test_run_normality_small(mc_config, tmp_path):
          "--replicas", "400", "--steps", "3000", "--seed", "0"]
     )
     assert code == 0
+
+
+def test_run_normality_writes_csv_row(mc_config, tmp_path):
+    out_path = tmp_path / "normality.csv"
+    code = cli.main(
+        ["run", "--config", mc_config, "--mode", "normality",
+         "--replicas", "400", "--steps", "3000", "--seed", "0", "--out", str(out_path)]
+    )
+    assert code == 0
+    rows = list(csv.DictReader(out_path.read_text().splitlines()))
+    assert list(rows[0]) == ["samples", "dof", "ks_statistic", "ks_threshold", "passed",
+                             "skewness_0", "excess_kurtosis_0"]
+    assert len(rows) == 1 and rows[0]["samples"] == "400" and rows[0]["passed"] == "1"
 
 
 def test_run_transformed_check(sys_a_config):
@@ -473,6 +513,33 @@ def test_readme_commands_parse():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def _load_benchmark_module(name, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_commands_parse(monkeypatch):
+    # The benchmark drives the CLI with fixed flags; every one must still parse,
+    # at --jobs 1 as timed and at the value its traced replay substitutes.
+    workloads = _load_benchmark_module("workloads", monkeypatch)
+    replay_jobs = _load_benchmark_module("run", monkeypatch).REPLAY_JOBS
+    parser = cli.build_parser()
+    flags = set()
+    for name in workloads.BUILDERS:
+        for cmd in workloads.build(name, 0, tiny=True):
+            parser.parse_args(cmd.argv)
+            flags.update(a for a in cmd.argv if a.startswith("--"))
+            if "--jobs" in cmd.argv:
+                argv = list(cmd.argv)
+                argv[argv.index("--jobs") + 1] = replay_jobs
+                assert parser.parse_args(argv).jobs == int(replay_jobs)
+    assert {"--jobs", "--stride", "--seed", "--out"} <= flags
 
 
 def test_seeded_runs_reproducible_across_jobs(mc_rademacher_config, tmp_path):

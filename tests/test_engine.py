@@ -122,6 +122,20 @@ def test_noise_stream_generates_each_tile_once(sys_a, monkeypatch):
     assert np.array_equal(first, chunk[6].reshape(b, 2))
 
 
+@pytest.mark.parametrize("replica", [0, 70, 127])
+def test_noise_stream_generates_rows_up_to_its_own(sys_a, monkeypatch, replica):
+    rows = []
+    tile = engine._standard_tile
+
+    def recording_tile(*args):
+        rows.append(args[5] if len(args) > 5 else engine.NOISE_CHUNK)
+        return tile(*args)
+
+    monkeypatch.setattr(engine, "_standard_tile", recording_tile)
+    noise_stream(sys_a, 11, replica).standard_range(0, noise_block_steps(2) + 1)
+    assert rows == [replica % engine.NOISE_CHUNK + 1] * 2
+
+
 def test_noise_empirical_covariance_matches_joint():
     joint = np.array([[2.0, 0.5], [0.5, 1.0]])
     F = factor_covariance(joint)
@@ -204,6 +218,14 @@ def test_standard_tile_golden_digest(distribution, dim):
     assert _digest(_standard_tile(7, 1, 2, dim, distribution)) == GOLDEN[distribution, dim]
 
 
+@pytest.mark.parametrize("dim", [2, 4, 6, 20])
+@pytest.mark.parametrize("distribution", ["gaussian", "scaled-rademacher"])
+def test_standard_tile_rows_are_a_prefix_of_the_full_tile(distribution, dim):
+    full = _standard_tile(7, 1, 2, dim, distribution)
+    for rows in (1, 2, 18, 64):
+        assert np.array_equal(_standard_tile(7, 1, 2, dim, distribution, rows), full[:rows])
+
+
 @pytest.mark.parametrize("dim", [2, 6])
 def test_segment_draws_golden_digest(dim):
     assert _digest(_segment_draws(7, 1, 2, 3, dim)) == GOLDEN["segments", dim]
@@ -242,6 +264,15 @@ def test_simulate_single_step_by_hand(sys_a):
 def test_simulate_record_stride(sys_a, sys_a_pair):
     states = simulate(sys_a, sys_a_pair, None, 1000, noise_stream(sys_a, 0, 0), record_stride=300)
     assert [st.k for st in states] == [0, 300, 600, 900, 1000]
+
+
+def test_trajectories_refuse_nonpositive_sizes(sys_a, sys_a_pair):
+    with pytest.raises(ValueError, match="K must be at least 1"):
+        simulate(sys_a, sys_a_pair, None, 0, noise_stream(sys_a, 0, 0))
+    with pytest.raises(ValueError, match="record_stride must be at least 1"):
+        simulate(sys_a, sys_a_pair, None, 10, noise_stream(sys_a, 0, 0), record_stride=0)
+    with pytest.raises(ValueError, match="K must be at least 1"):
+        simulate_transformed(sys_a, sys_a_pair, 0, noise_stream(sys_a, 0, 0))
 
 
 def test_simulate_diverges_on_unstable_drift():
@@ -618,6 +649,12 @@ def test_ensemble_divergence_reports_step_and_replicas():
 def test_ensemble_requires_two_replicas(sys_a, mc_pair):
     with pytest.raises(ValueError):
         run_ensemble(sys_a, mc_pair, 1, 10, [10], base_seed=0)
+
+
+@pytest.mark.parametrize("checkpoints", [[], [-1, 10], [11]])
+def test_ensemble_refuses_checkpoints_outside_the_run(sys_a, mc_pair, checkpoints):
+    with pytest.raises(ValueError, match=r"checkpoints must be within \[0, K\]"):
+        run_ensemble(sys_a, mc_pair, 4, 10, checkpoints, base_seed=0)
 
 
 # ---------------------------------------------------------------------------

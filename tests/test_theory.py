@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -303,6 +304,27 @@ def test_l_sequence_at_returns_zero_before_start(sys_a, sys_a_pair):
     seq = theory._l_sequence_run(sys_a, sys_a_pair, 10, 4)
     assert np.array_equal(seq.at(2), np.zeros((1, 1)))
     assert seq.at(4) is seq.values[0] or np.array_equal(seq.at(4), seq.values[0])
+
+
+def test_l_sequence_at_refuses_steps_beyond_K(sys_a, sys_a_pair):
+    seq = theory._l_sequence_run(sys_a, sys_a_pair, 10, 4)
+    assert np.array_equal(seq.at(10), seq.values[-1])
+    with pytest.raises(IndexError):
+        seq.at(11)
+
+
+def test_l_sequence_memory_holds_one_block_of_maps():
+    # The scan builds each block's maps from its step sizes, so beyond L
+    # itself it holds one block, not a (K, d, d) array of maps.
+    spec = random_stable_system(np.random.default_rng(7), 5, 5)
+    pair = SchedulePair(slow=StepSchedule(0.1, 10.0, 1.0), fast=StepSchedule(0.2, 10.0, 0.7))
+    tracemalloc.start()
+    try:
+        seq = l_sequence(spec, pair, K=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * seq.values.nbytes
 
 
 def loop_l_sequence(spec, pair, K, k0=0, retry=True):
