@@ -1,7 +1,6 @@
 """Asymptotic covariance prediction and validation for coupled slow/fast linear iterations."""
 
 from .engine import (
-    noise_stream,
     propagate_covariance,
     reconstruct_original,
     run_ensemble,
@@ -30,7 +29,6 @@ __all__ = [
     "gained_reduced_covariance",
     "gained_system",
     "l_sequence",
-    "noise_stream",
     "normality_check",
     "optimal_gain_covariance",
     "predict_full",

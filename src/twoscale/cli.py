@@ -257,11 +257,10 @@ def _run_normality(cfg: RunConfig, args) -> int:
 
 
 def _run_transformed_check(cfg: RunConfig, args) -> int:
-    stride = args.stride or max(1, args.steps // 100)
-    stream = engine.noise_stream(cfg.system, args.seed, 0)
-    states = engine.simulate(cfg.system, cfg.schedules, None, args.steps, stream, stride)
+    stride = max(1, args.steps // 100) if args.stride is None else args.stride
+    states = engine.simulate(cfg.system, cfg.schedules, None, args.steps, args.seed, stride)
     run = engine.simulate_transformed(
-        cfg.system, cfg.schedules, args.steps, stream, record_stride=stride
+        cfg.system, cfg.schedules, args.steps, args.seed, record_stride=stride
     )
     rebuilt = engine.reconstruct_original(cfg.system, run)
     by_k = {st.k: st for st in states}

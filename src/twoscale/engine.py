@@ -20,7 +20,9 @@ sliced per segment.  Exact propagation updates the second moment as
 C <- P C P' + W'W.  Every simulated route goes through one driver,
 `_advance`, which moves a block of row states as Z <- Z P' + U W, U the
 rows' inputs over the segment: one row for `simulate` and for both phases
-of `simulate_transformed`, one replica chunk for `run_ensemble`.  The
+of `simulate_transformed`, one replica chunk for `run_ensemble`.  Every
+route runs in deviations from the fixed point x*, so the offset b never
+enters the kernel; `simulate` adds x* back to the states it records.  The
 ensemble runs tile-major: it composes one noise tile's segments, moves
 every chunk through them, and drops them before the next tile, so its
 memory is flat in K.  A segment that ends beyond the divergence cutoff is
@@ -45,20 +47,22 @@ spawn_key=(domain, chunk, block))`: the seed alone fills the entropy pool,
 zero-padded to a fixed width, so no two seeds share a key (a negative seed
 is refused).  Domain 0 serves per-step tiles, domain 1 aggregated draws.
 
-Per-step draws -- `NoiseStream`, `simulate`, `simulate_transformed` and
+Per-step draws -- read by `simulate`, `simulate_transformed` and
 Rademacher ensembles -- are a pure function of (base_seed, replica, step).
 Replicas are grouped into chunks of NOISE_CHUNK and steps into blocks of
 noise_block_steps(d) for joint noise dimension d; one generator per
 (chunk, block) fills that tile in row-major order, so a reader generates
 only the rows up to the last one it needs, and the draw for (replica,
 step, coordinate c) is the tile entry [replica mod chunk,
-(step mod block) * d + c].  Tile shapes are fixed functions of d alone, so
-which values a replica sees never depends on N, K, checkpoints, chunk
-scheduling, or the degree of parallelism.  A Gaussian tile is the
-generator's standard normals in row-major order.  A scaled-Rademacher tile
-spends one raw bit per sign: with cols = block * d, entry [r, j] is
-1 - 2 * ((w[i // 64] >> (i % 64)) & 1) for i = r * cols + j and w the
-generator's raw 64-bit words, so bit 0 gives +1.0 and bit 1 gives -1.0.
+(step mod block) * d + c].  A single trajectory's reader is keyed by
+(base_seed, replica) and holds one tile row, the one it read last.  Tile
+shapes are fixed functions of d alone, so which values a replica sees
+never depends on N, K, checkpoints, chunk scheduling, or the degree of
+parallelism.  A Gaussian tile is the generator's standard normals in
+row-major order.  A scaled-Rademacher tile spends one raw bit per sign:
+with cols = block * d, entry [r, j] is 1 - 2 * ((w[i // 64] >> (i % 64))
+& 1) for i = r * cols + j and w the generator's raw 64-bit words, so bit 0
+gives +1.0 and bit 1 gives -1.0.
 
 Aggregated Gaussian draws are a pure function of (base_seed, replica,
 segment partition).  One generator per (chunk, block) fills
@@ -75,13 +79,14 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DIVERGENCE_CUTOFF, Diverged, MomentDiverged, NotPSD
-from .linalg import _suffix_products, factor_covariance, psd_floor, symmetrize
+from .linalg import _suffix_products, psd_floor, symmetrize
 from .model import SystemSpec, centring_matrix, delta_matrix, fixed_point
 from .schedules import SchedulePair
 from .theory import LSequence, l_sequence
@@ -147,52 +152,28 @@ def _standard_tile(
     return vals.reshape(rows, cols)
 
 
-@dataclass
-class NoiseStream:
-    """Per-replica noise view mapping standardized draws through a joint factor.
+def _step_reader(spec: SystemSpec, base_seed: int, replica: int):
+    """Reader of one replica's standardized per-step draws.
 
-    Keeps this replica's row of every tile it has generated, K * dim floats
-    for K steps read, so reading a range again generates nothing.
+    read(a, b) returns the draws of steps [a, b) flattened step-major as one
+    row, shape (1, (b - a) * d).  [a, b) lies inside one noise tile, as every
+    `_segments` segment does.  The reader holds only the tile row it read
+    last, so reading in step order generates each tile once.
     """
+    d = spec.n + spec.m
+    block = noise_block_steps(d)
+    chunk_idx, r = divmod(replica, NOISE_CHUNK)
 
-    base_seed: int
-    replica: int
-    factor: np.ndarray
-    distribution: str = "gaussian"
+    @functools.lru_cache(maxsize=1)
+    def row(block_idx: int) -> np.ndarray:
+        tile = _standard_tile(base_seed, chunk_idx, block_idx, d, spec.noise.distribution, r + 1)
+        return tile[r].copy()
 
-    def __post_init__(self):
-        self._rows: dict[int, np.ndarray] = {}  # block index -> (block, dim) draws
+    def read(a: int, b: int) -> np.ndarray:
+        t0 = a - a % block
+        return row(a // block)[(a - t0) * d : (b - t0) * d].reshape(1, -1)
 
-    @property
-    def dim(self) -> int:
-        return self.factor.shape[0]
-
-    def _row(self, block_idx: int) -> np.ndarray:
-        row = self._rows.get(block_idx)
-        if row is None:
-            chunk_idx, r = divmod(self.replica, NOISE_CHUNK)
-            tile = _standard_tile(self.base_seed, chunk_idx, block_idx, self.dim, self.distribution, r + 1)
-            row = self._rows[block_idx] = tile[r].reshape(-1, self.dim).copy()
-        return row
-
-    def standard_range(self, a: int, b: int) -> np.ndarray:
-        """Standardized draws of this replica for steps [a, b), shape (b-a, dim)."""
-        block = noise_block_steps(self.dim)
-        parts = [
-            self._row(i)[max(a - i * block, 0) : b - i * block]
-            for i in range(a // block, -(-b // block))
-        ]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def noise_stream(spec: SystemSpec, base_seed: int, replica: int) -> NoiseStream:
-    """Noise stream for one replica of a system's joint noise model."""
-    return NoiseStream(
-        base_seed=base_seed,
-        replica=replica,
-        factor=factor_covariance(spec.noise.joint()),
-        distribution=spec.noise.distribution,
-    )
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +280,14 @@ class TrajectoryState:
     r: np.ndarray
 
 
-def _init_vectors(spec: SystemSpec, init) -> tuple[np.ndarray, np.ndarray]:
-    if init is None:
-        return np.zeros(spec.n), np.zeros(spec.m)
-    theta0 = np.asarray(init[0], dtype=np.float64).reshape(spec.n)
-    r0 = np.asarray(init[1], dtype=np.float64).reshape(spec.m)
-    return theta0.copy(), r0.copy()
+def _deviation(spec: SystemSpec, init) -> np.ndarray:
+    """The initial state (theta0, r0) stacked, the origin if init is None, minus the fixed point."""
+    n, m = spec.n, spec.m
+    x0 = np.zeros(n + m)
+    if init is not None:
+        x0[:n] = np.asarray(init[0], dtype=np.float64).reshape(n)
+        x0[n:] = np.asarray(init[1], dtype=np.float64).reshape(m)
+    return x0 - np.concatenate(fixed_point(spec))
 
 
 def simulate(
@@ -312,33 +295,36 @@ def simulate(
     pair: SchedulePair,
     init,
     K: int,
-    noise: NoiseStream,
+    base_seed: int,
     record_stride: int = 1,
+    *,
+    replica: int = 0,
 ) -> list[TrajectoryState]:
     """Run the coupled recursion for K steps, recording every record_stride steps.
 
-    Runs in original coordinates: the offset D_k b enters the segment kernel
-    as one more input column whose draw is always one.
+    Replica replica of the per-step draws keyed by base_seed drives the
+    noise, through the factor of spec's own noise model.  Runs in deviations
+    from the fixed point x* and records x* plus the deviation.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
     if record_stride < 1:
         raise ValueError("record_stride must be at least 1")
-    theta, r = _init_vectors(spec, init)
     n = spec.n
-    maps = functools.partial(_step_maps, spec, pair, np.column_stack([noise.factor, spec.offset()]))
+    x_star = np.concatenate(fixed_point(spec))
+    maps = functools.partial(_step_maps, spec, pair, spec.noise.factor)
+    read = _step_reader(spec, base_seed, replica)
+    z0 = _deviation(spec, init)[None]
 
-    def read(a, b):
-        return np.column_stack([noise.standard_range(a, b), np.ones(b - a)]).reshape(1, -1)
-
-    states = [TrajectoryState(0, theta, r)]
+    states = []
     edges = range(record_stride, K, record_stride)
-    plan = _segments(maps, 0, K, noise_block_steps(noise.dim), edges)
+    plan = _segments(maps, 0, K, noise_block_steps(n + spec.m), edges)
     # Unstable systems overflow the composed maps; the replay reports where.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, Z in _advance(np.concatenate([theta, r])[None], plan, read, maps):
+        for k, Z in itertools.chain([(0, z0)], _advance(z0, plan, read, maps)):
             if k % record_stride == 0 or k == K:
-                states.append(TrajectoryState(k, Z[0, :n], Z[0, n:]))
+                x = Z[0] + x_star
+                states.append(TrajectoryState(k, x[:n], x[n:]))
     return states
 
 
@@ -364,7 +350,7 @@ def simulate_transformed(
     spec: SystemSpec,
     pair: SchedulePair,
     K: int,
-    noise: NoiseStream,
+    base_seed: int,
     k0: int = 0,
     init=None,
     record_stride: int = 1,
@@ -375,27 +361,26 @@ def simulate_transformed(
     index of the decoupling sequence to provide the initial transformed
     state; from there the fast update has no slow coupling by construction
     and the slow noise feeds the fast block through the decoupling matrices.
-    Reconstructing the original iterates from the result is exact algebra,
-    so a shared noise stream makes this a runtime equivalence oracle for
-    `simulate`.
+    Reads replica 0 of the per-step draws keyed by base_seed, through the
+    factor of spec's own noise model.  Reconstructing the original iterates
+    from the result is exact algebra, so with the same base_seed this is a
+    runtime equivalence oracle for `simulate`.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
+    if record_stride < 1:
+        raise ValueError("record_stride must be at least 1")
     lseq = l_sequence(spec, pair, K, k0=k0)
     k0 = lseq.k0
 
     n, m = spec.n, spec.m
-    F = noise.factor
-    block = noise_block_steps(noise.dim)
+    F = spec.noise.factor
+    block = noise_block_steps(n + m)
     T = centring_matrix(spec)
     delta = delta_matrix(spec)
-
-    theta0, r0 = _init_vectors(spec, init)
-    Z = (np.concatenate([theta0, r0]) - np.concatenate(fixed_point(spec)))[None]
+    Z = _deviation(spec, init)[None]
     original = functools.partial(_step_maps, spec, pair, F)
-
-    def read(a, b):
-        return noise.standard_range(a, b).reshape(1, -1)
+    read = _step_reader(spec, base_seed, 0)
 
     def decoupled(a, b):
         # Slow: theta' = theta - beta (B11 theta + A12 r) + beta V with
@@ -419,7 +404,6 @@ def simulate_transformed(
         for _, Z in _advance(Z, _segments(original, 0, k0, block, ()), read, original):
             pass
         x = T @ Z[0]
-        x[n:] += lseq.at(k0) @ Z[0, :n]
         states = [TransformedState(k0, x[:n], x[n:])]
         edges = range(record_stride * (k0 // record_stride + 1), K, record_stride)
         plan = _segments(decoupled, k0, K, block, edges)
@@ -482,10 +466,9 @@ def propagate_covariance(
     if not cps or cps[0] < 1 or cps[-1] > K:
         raise ValueError("checkpoints must be within [1, K]")
 
-    F = factor_covariance(spec.noise.joint())
     T = centring_matrix(spec)
     out = []
-    maps = functools.partial(_step_maps, spec, pair, F)
+    maps = functools.partial(_step_maps, spec, pair, spec.noise.factor)
     plan = _segments(maps, 0, cps[-1], noise_block_steps(d), cps)
     # Unstable systems overflow the composed maps; the replay reports where.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -547,8 +530,9 @@ def run_ensemble(
     ensembles run their chunks serially at any jobs.  Gaussian
     replicas take one exact N(0, W'W) draw per segment, a pure function of
     (base_seed, r, segment partition) and stable under growing K or adding
-    later checkpoints; Rademacher replicas read the per-step stream of
-    `noise_stream(spec, base_seed, r)`.  Tile-major:
+    later checkpoints; Rademacher replicas read the per-step draws keyed by
+    (base_seed, r), those of `simulate(..., base_seed, replica=r)`, one tile
+    at a time.  Tile-major:
     every replica chunk crosses a noise tile before any chunk starts the
     next, so a divergence names the earliest bad step of the ensemble and
     every replica that crossed at it.  Samples are stored by replica index,
@@ -563,10 +547,10 @@ def run_ensemble(
         raise ValueError("checkpoints must be within [0, K]")
 
     n, d = spec.n, spec.n + spec.m
-    z0 = np.concatenate(_init_vectors(spec, init)) - np.concatenate(fixed_point(spec))
+    z0 = _deviation(spec, init)
     T = centring_matrix(spec)
     block = noise_block_steps(d)
-    maps = functools.partial(_step_maps, spec, pair, factor_covariance(spec.noise.joint()))
+    maps = functools.partial(_step_maps, spec, pair, spec.noise.factor)
     Z = np.repeat(z0[None, :], N, axis=0)
     cp_store = {c: np.empty((N, d)) for c in cps}
     if 0 in cp_store:

@@ -137,6 +137,6 @@ def factor_covariance(G) -> np.ndarray:
 
     w, V = np.linalg.eigh(symmetrize(G))
     if np.min(w) < psd_floor(G):
-        raise NotPSD(f"eigenvalue {np.min(w):.3e} below -{PSD_TOL:.0e} * (1 + ||G||)")
+        raise NotPSD(f"covariance has eigenvalue {np.min(w):.3e} below -{PSD_TOL:.0e} * (1 + ||G||)")
     F = V * np.sqrt(np.clip(w, 0.0, None))
     return F

@@ -18,12 +18,12 @@ toward the fast iterate, and noise only on the fast block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .errors import NotHurwitz, NotPSD, SingularA22, SingularSystem
+from .errors import NotHurwitz, SingularA22, SingularSystem
 from .schedules import SchedulePair, validate_schedules
 from .validation import ValidationReport, reject_unknown_keys
 
@@ -45,6 +45,7 @@ class NoiseSpec:
     Gamma12: np.ndarray
     Gamma22: np.ndarray
     distribution: str = "gaussian"
+    factor: np.ndarray = field(init=False, repr=False, compare=False)  # F with F F' = joint()
 
     def __post_init__(self):
         object.__setattr__(self, "Gamma11", linalg.as_matrix(self.Gamma11, "Gamma11"))
@@ -55,15 +56,16 @@ class NoiseSpec:
             raise ValueError(
                 f"inconsistent noise shapes: {self.Gamma11.shape}, {self.Gamma12.shape}, {self.Gamma22.shape}"
             )
+        if not all(np.all(np.isfinite(G)) for G in (self.Gamma11, self.Gamma12, self.Gamma22)):
+            raise ValueError("noise covariance blocks must be finite")
         if not linalg.is_symmetric(self.Gamma11):
             raise ValueError("Gamma11 is not symmetric within tolerance")
         if not linalg.is_symmetric(self.Gamma22):
             raise ValueError("Gamma22 is not symmetric within tolerance")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}")
-        J = self.joint()
-        if float(np.min(np.linalg.eigvalsh(linalg.symmetrize(J)))) < linalg.psd_floor(J):
-            raise NotPSD("joint noise covariance has a negative eigenvalue beyond tolerance")
+        # Also the PSD check: the factor raises NotPSD below the floor.
+        object.__setattr__(self, "factor", linalg.factor_covariance(self.joint()))
 
     def joint(self) -> np.ndarray:
         """Full (n+m) x (n+m) covariance of the stacked noise (V, W)."""
@@ -119,8 +121,8 @@ class SystemSpec:
         for name, (got, want) in shapes.items():
             if got != want:
                 raise ValueError(f"{name} has shape {got}, expected {want}")
-        if not np.all(np.isfinite(self.block_matrix())):
-            raise ValueError("system coefficients must be finite")
+        if not all(np.all(np.isfinite(v)) for v in (self.block_matrix(), self.b1, self.b2)):
+            raise ValueError("system coefficients and offsets must be finite")
         if np.linalg.cond(self.A22) > linalg.COND_CAP:
             raise SingularA22(f"A22 condition number exceeds {linalg.COND_CAP:.0e}")
 

@@ -156,6 +156,31 @@ def test_unknown_config_keys_exit_1(tmp_path, capsys, command, doc, stray):
     assert "malformed configuration: " in err and repr(stray) in err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["predict"], ["run", "--mode", "propagate", "--steps", "200"]],
+    ids=["validate", "predict", "run"],
+)
+def test_non_finite_noise_exits_1(tmp_path, capsys, command, value):
+    doc = dict(SYS_A_DOC, noise=dict(SYS_A_DOC["noise"], Gamma12=[[value]]))
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command[0], "--config", str(path), *command[1:]]) == 1
+    assert "malformed configuration: noise covariance blocks must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_offset_exits_1(tmp_path, capsys, value):
+    path = tmp_path / "non_finite_b.json"
+    path.write_text(json.dumps(dict(SYS_A_DOC, b1=[value])))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    path.write_text(json.dumps({"A": [[1.0]], "b": [value], "Gamma": [[1.0]]}))
+    assert cli.main(["averaging", "--config", str(path), "-N", "64", "-K", "200"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("malformed configuration: system coefficients and offsets must be finite") == 2
+
+
 def test_averaging_non_object_config_exits_1(tmp_path, capsys):
     path = tmp_path / "avg_list.json"
     path.write_text("[1]")
@@ -346,6 +371,13 @@ def test_run_transformed_check(sys_a_config):
         ["run", "--config", sys_a_config, "--mode", "transformed-check", "--steps", "2000"]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_run_transformed_check_refuses_nonpositive_stride(sys_a_config, capsys, stride):
+    argv = ["run", "--config", sys_a_config, "--mode", "transformed-check", "--steps", "200"]
+    assert cli.main(argv + ["--stride", stride]) == 1
+    assert "record_stride must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from twoscale import (
     SchedulePair,
     StepSchedule,
     SystemSpec,
-    noise_stream,
     propagate_covariance,
     reconstruct_original,
     run_ensemble,
@@ -41,6 +40,20 @@ def chunk_draws(base_seed, chunk_idx, dim, distribution, steps):
     return row[:, : steps * dim]
 
 
+def replica_draws(spec, base_seed, replica, a, b, cuts=()):
+    """Standardized per-step draws of one replica for steps [a, b), shape (b - a, d).
+
+    Read in step order through one of the engine's per-step readers, one
+    read per piece of [a, b) cut at every tile edge and at each of cuts, as
+    the segment kernel reads them.
+    """
+    d = spec.n + spec.m
+    block = noise_block_steps(d)
+    read = engine._step_reader(spec, base_seed, replica)
+    ends = sorted({a, b, *range(a - a % block + block, b, block), *(c for c in cuts if a < c < b)})
+    return np.concatenate([read(s, t).reshape(t - s, d) for s, t in zip(ends, ends[1:])])
+
+
 def rademacher(spec: SystemSpec) -> SystemSpec:
     return replace(spec, noise=replace(spec.noise, distribution="scaled-rademacher"))
 
@@ -64,17 +77,15 @@ def zero_noise(spec: SystemSpec) -> SystemSpec:
 
 
 def test_noise_stream_replay_identical(sys_a):
-    s1 = noise_stream(sys_a, base_seed=42, replica=3)
-    s2 = noise_stream(sys_a, base_seed=42, replica=3)
+    F = sys_a.noise.factor
     assert np.array_equal(
-        s1.standard_range(0, 500) @ s1.factor.T, s2.standard_range(0, 500) @ s2.factor.T
+        replica_draws(sys_a, 42, 3, 0, 500) @ F.T, replica_draws(sys_a, 42, 3, 0, 500) @ F.T
     )
 
 
 def test_noise_stream_distinct_replicas_and_seeds(sys_a):
     def draws(seed, replica):
-        stream = noise_stream(sys_a, seed, replica)
-        return stream.standard_range(0, 200) @ stream.factor.T
+        return replica_draws(sys_a, seed, replica, 0, 200) @ sys_a.noise.factor.T
 
     base = draws(42, 3)
     assert not np.array_equal(base, draws(42, 4))
@@ -82,20 +93,18 @@ def test_noise_stream_distinct_replicas_and_seeds(sys_a):
 
 
 def test_noise_stream_prefix_stability(sys_a):
-    stream = noise_stream(sys_a, 11, 0)
-    whole = stream.standard_range(0, 5000)
+    whole = replica_draws(sys_a, 11, 0, 0, 5000)
     split = np.concatenate(
-        [stream.standard_range(0, 1234), stream.standard_range(1234, 5000)], axis=0
+        [replica_draws(sys_a, 11, 0, 0, 1234), replica_draws(sys_a, 11, 0, 1234, 5000)], axis=0
     )
     assert np.array_equal(whole, split)
 
 
 def test_noise_stream_spans_tiles(sys_a):
     block = noise_block_steps(2)
-    stream = noise_stream(sys_a, 11, 7)
     a, b = block - 5, block + 5
-    window = stream.standard_range(a, b)
-    whole = stream.standard_range(0, b)
+    window = replica_draws(sys_a, 11, 7, a, b)
+    whole = replica_draws(sys_a, 11, 7, 0, b)
     assert np.array_equal(window, whole[a:])
 
 
@@ -110,13 +119,12 @@ def test_noise_stream_generates_each_tile_once(sys_a, monkeypatch):
     monkeypatch.setattr(engine, "_standard_tile", counting_tile)
     block = noise_block_steps(2)
     b = 3 * block + 7
-    stream = noise_stream(sys_a, 11, 70)
-    first = stream.standard_range(0, b)
+    # Many reads per tile, in step order, as a trajectory makes them.
+    first = replica_draws(sys_a, 11, 70, 0, b, cuts=range(0, b, 100))
     assert len(calls) == 4
-    assert np.array_equal(stream.standard_range(0, b), first)
+    assert np.array_equal(replica_draws(sys_a, 11, 70, 0, b), first)
     lo, hi = block - 3, 2 * block + 1
-    assert np.array_equal(stream.standard_range(lo, hi), first[lo:hi])
-    assert len(calls) == 4
+    assert np.array_equal(replica_draws(sys_a, 11, 70, lo, hi), first[lo:hi])
     # The same draws as the ensemble's chunk reader for that replica.
     chunk = chunk_draws(11, 1, 2, "gaussian", b)
     assert np.array_equal(first, chunk[6].reshape(b, 2))
@@ -132,7 +140,7 @@ def test_noise_stream_generates_rows_up_to_its_own(sys_a, monkeypatch, replica):
         return tile(*args)
 
     monkeypatch.setattr(engine, "_standard_tile", recording_tile)
-    noise_stream(sys_a, 11, replica).standard_range(0, noise_block_steps(2) + 1)
+    replica_draws(sys_a, 11, replica, 0, noise_block_steps(2) + 1)
     assert rows == [replica % engine.NOISE_CHUNK + 1] * 2
 
 
@@ -238,7 +246,7 @@ def test_segment_draws_golden_digest(dim):
 def test_simulate_zero_noise_fixed_point_is_stationary(sys_a, sys_a_pair):
     spec = zero_noise(sys_a)
     theta_star, r_star = fixed_point(spec)
-    states = simulate(spec, sys_a_pair, (theta_star, r_star), 200, noise_stream(spec, 0, 0))
+    states = simulate(spec, sys_a_pair, (theta_star, r_star), 200, 0)
     for st in states:
         assert np.allclose(st.theta, theta_star, atol=1e-12)
         assert np.allclose(st.r, r_star, atol=1e-12)
@@ -246,7 +254,7 @@ def test_simulate_zero_noise_fixed_point_is_stationary(sys_a, sys_a_pair):
 
 def test_simulate_zero_noise_converges_to_fixed_point(sys_a, sys_a_pair):
     spec = zero_noise(sys_a)
-    states = simulate(spec, sys_a_pair, None, 5000, noise_stream(spec, 0, 0), record_stride=500)
+    states = simulate(spec, sys_a_pair, None, 5000, 0, record_stride=500)
     target = np.array([-1.0, 3.0])
     dists = [np.linalg.norm(np.concatenate([st.theta, st.r]) - target) for st in states]
     assert dists[-1] < 0.05
@@ -256,30 +264,33 @@ def test_simulate_zero_noise_converges_to_fixed_point(sys_a, sys_a_pair):
 def test_simulate_single_step_by_hand(sys_a):
     spec = zero_noise(sys_a)
     pair = SchedulePair(slow=StepSchedule(0.5, 10.0, 1.0), fast=StepSchedule(0.5, 10.0, 0.7))
-    states = simulate(spec, pair, None, 1, noise_stream(spec, 0, 0))
+    states = simulate(spec, pair, None, 1, 0)
     assert states[-1].theta == pytest.approx([0.5])
     assert states[-1].r == pytest.approx([1.0])
 
 
 def test_simulate_record_stride(sys_a, sys_a_pair):
-    states = simulate(sys_a, sys_a_pair, None, 1000, noise_stream(sys_a, 0, 0), record_stride=300)
+    states = simulate(sys_a, sys_a_pair, None, 1000, 0, record_stride=300)
     assert [st.k for st in states] == [0, 300, 600, 900, 1000]
 
 
 def test_trajectories_refuse_nonpositive_sizes(sys_a, sys_a_pair):
     with pytest.raises(ValueError, match="K must be at least 1"):
-        simulate(sys_a, sys_a_pair, None, 0, noise_stream(sys_a, 0, 0))
+        simulate(sys_a, sys_a_pair, None, 0, 0)
     with pytest.raises(ValueError, match="record_stride must be at least 1"):
-        simulate(sys_a, sys_a_pair, None, 10, noise_stream(sys_a, 0, 0), record_stride=0)
+        simulate(sys_a, sys_a_pair, None, 10, 0, record_stride=0)
     with pytest.raises(ValueError, match="K must be at least 1"):
-        simulate_transformed(sys_a, sys_a_pair, 0, noise_stream(sys_a, 0, 0))
+        simulate_transformed(sys_a, sys_a_pair, 0, 0)
+    for stride in (0, -5):
+        with pytest.raises(ValueError, match="record_stride must be at least 1"):
+            simulate_transformed(sys_a, sys_a_pair, 10, 0, record_stride=stride)
 
 
 def test_simulate_diverges_on_unstable_drift():
     spec = unstable_system()
     pair = SchedulePair(slow=StepSchedule(1.0, 1e6, 1.0), fast=StepSchedule(1.0, 1e6, 0.7))
     with pytest.raises(Diverged) as info:
-        simulate(spec, pair, ([1.0], [0.0]), 500, noise_stream(spec, 0, 0))
+        simulate(spec, pair, ([1.0], [0.0]), 500, 0)
     assert 0 < info.value.step <= 500
 
 
@@ -299,8 +310,7 @@ def test_gained_system_matches_simulate_gained_without_noise(sys_a, sys_a_pair):
         theta, r = theta + beta * slow_dir, r + gamma * fast_dir
         direct.append((theta, r))
     derived_spec = gained_system(spec, G1)
-    stream = noise_stream(derived_spec, 0, 0)
-    derived = simulate(derived_spec, sys_a_pair, ([0.3], [0.1]), K, stream)
+    derived = simulate(derived_spec, sys_a_pair, ([0.3], [0.1]), K, 0)
     assert len(derived) == len(direct)
     for (theta, r), b in zip(direct, derived):
         assert np.allclose(theta, b.theta, atol=1e-13)
@@ -308,15 +318,41 @@ def test_gained_system_matches_simulate_gained_without_noise(sys_a, sys_a_pair):
 
 
 def test_simulate_record_strides_agree(sys_a, sys_a_pair):
-    stream = noise_stream(sys_a, 8, 0)
+    seed = 8
     K = 3000
-    every = {st.k: st for st in simulate(sys_a, sys_a_pair, None, K, stream, record_stride=1)}
-    sparse = simulate(sys_a, sys_a_pair, None, K, stream, record_stride=7)
+    every = {st.k: st for st in simulate(sys_a, sys_a_pair, None, K, seed, record_stride=1)}
+    sparse = simulate(sys_a, sys_a_pair, None, K, seed, record_stride=7)
     assert [st.k for st in sparse] == list(range(0, K, 7)) + [K]
     for st in sparse:
         ref = np.concatenate([every[st.k].theta, every[st.k].r])
         got = np.concatenate([st.theta, st.r])
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_simulate_memory_does_not_grow_with_steps(sys_a, sys_a_pair):
+    def peak_bytes(K):
+        tracemalloc.start()
+        try:
+            simulate(sys_a, sys_a_pair, None, K, 1, record_stride=K // 10)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    K = 20000
+    peak_bytes(K)  # warm up caches that a first call allocates
+    # A cache of every draw read, K * d floats, would add 960 KB from K to 4K.
+    assert peak_bytes(4 * K) - peak_bytes(K) <= 240e3
+
+
+def test_trajectories_read_the_noise_of_their_own_spec(sys_a, sys_a_pair):
+    # A noise-free copy of system A is deterministic at any seed and replica.
+    spec, K = zero_noise(sys_a), 2000
+    ref = simulate(spec, sys_a_pair, None, K, 0)[-1]
+    other = simulate(spec, sys_a_pair, None, K, 5, replica=3)[-1]
+    rebuilt = reconstruct_original(spec, simulate_transformed(spec, sys_a_pair, K, 5))[-1]
+    assert np.array_equal(other.theta, ref.theta) and np.array_equal(other.r, ref.r)
+    assert np.allclose(rebuilt.theta, ref.theta, atol=1e-12)
+    assert np.allclose(rebuilt.r, ref.r, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +363,7 @@ def test_transformed_zero_noise_from_fixed_point_stays_zero(sys_a, sys_a_pair):
     spec = zero_noise(sys_a)
     theta_star, r_star = fixed_point(spec)
     run = simulate_transformed(
-        spec, sys_a_pair, 200, noise_stream(spec, 0, 0), init=(theta_star, r_star)
+        spec, sys_a_pair, 200, 0, init=(theta_star, r_star)
     )
     for st in run.states:
         assert np.allclose(st.theta_t, 0.0, atol=1e-12)
@@ -336,10 +372,10 @@ def test_transformed_zero_noise_from_fixed_point_stays_zero(sys_a, sys_a_pair):
 
 def test_transformed_reconstruction_matches_simulate(sys_a):
     pair = SchedulePair(slow=StepSchedule(0.1, 10.0, 1.0), fast=StepSchedule(0.5, 10.0, 0.7))
-    stream = noise_stream(sys_a, 21, 0)
+    seed = 21
     K = 2000
-    reference = {st.k: st for st in simulate(sys_a, pair, None, K, stream, record_stride=100)}
-    run = simulate_transformed(sys_a, pair, K, stream, record_stride=100)
+    reference = {st.k: st for st in simulate(sys_a, pair, None, K, seed, record_stride=100)}
+    run = simulate_transformed(sys_a, pair, K, seed, record_stride=100)
     rebuilt = reconstruct_original(sys_a, run)
     assert len(rebuilt) > 5
     for st in rebuilt:
@@ -354,10 +390,10 @@ def test_transformed_reconstruction_random_systems():
     pair = SchedulePair(slow=StepSchedule(0.1, 10.0, 1.0), fast=StepSchedule(0.5, 10.0, 0.7))
     for i in range(5):
         spec = random_stable_system(rng, n=int(rng.integers(1, 4)), m=int(rng.integers(1, 4)))
-        stream = noise_stream(spec, 100 + i, 0)
+        seed = 100 + i
         K = 1500
-        reference = {st.k: st for st in simulate(spec, pair, None, K, stream, record_stride=250)}
-        run = simulate_transformed(spec, pair, K, stream, record_stride=250)
+        reference = {st.k: st for st in simulate(spec, pair, None, K, seed, record_stride=250)}
+        run = simulate_transformed(spec, pair, K, seed, record_stride=250)
         for st in reconstruct_original(spec, run):
             ref = reference[st.k]
             ref_vec = np.concatenate([ref.theta, ref.r])
@@ -370,10 +406,10 @@ def test_transformed_reconstruction_with_late_start(sys_a, k0, stride):
     # The original recursion runs up to k0 (across a noise-tile edge in the
     # second case) before the decoupled one takes over.
     pair = SchedulePair(slow=StepSchedule(0.1, 10.0, 1.0), fast=StepSchedule(0.5, 10.0, 0.7))
-    stream = noise_stream(sys_a, 21, 0)
+    seed = 21
     K = 3000
-    reference = {st.k: st for st in simulate(sys_a, pair, None, K, stream)}
-    run = simulate_transformed(sys_a, pair, K, stream, k0=k0, record_stride=stride)
+    reference = {st.k: st for st in simulate(sys_a, pair, None, K, seed)}
+    run = simulate_transformed(sys_a, pair, K, seed, k0=k0, record_stride=stride)
     assert run.k0 == k0 and run.states[0].k == k0 and run.states[-1].k == K
     for st in reconstruct_original(sys_a, run):
         ref_vec = np.concatenate([reference[st.k].theta, reference[st.k].r])
@@ -386,7 +422,7 @@ def test_transformed_decouples_without_fast_to_slow_coupling(sys_a_pair):
         A11=[[2.0]], A12=[[1.0]], A21=[[0.0]], A22=[[1.0]], b1=[1.0], b2=[2.0],
         noise=NoiseSpec(Gamma11=[[1.0]], Gamma12=[[0.0]], Gamma22=[[1.0]]),
     )
-    run = simulate_transformed(spec, sys_a_pair, 300, noise_stream(spec, 0, 0))
+    run = simulate_transformed(spec, sys_a_pair, 300, 0)
     assert np.all(run.lseq.norms == 0.0)
 
 
@@ -394,7 +430,7 @@ def test_simulate_transformed_diverges_on_unstable_drift():
     spec = unstable_system()
     pair = SchedulePair(slow=StepSchedule(1.0, 1e6, 1.0), fast=StepSchedule(1.0, 1e6, 0.7))
     with pytest.raises(Diverged) as info:
-        simulate_transformed(spec, pair, 500, noise_stream(spec, 0, 0), init=([1.0], [0.0]))
+        simulate_transformed(spec, pair, 500, 0, init=([1.0], [0.0]))
     assert 0 < info.value.step <= 500
 
 
@@ -586,7 +622,7 @@ def test_ensemble_replica_matches_single_simulate(sys_a, mc_pair):
     # (-1, 3), and the fast coordinate measured from A22^-1 (b2 - A21 theta).
     theta_star, r_star = -1.0, 3.0
     for replica in (0, 3, 69):
-        states = simulate(spec, mc_pair, None, 500, noise_stream(spec, 7, replica))
+        states = simulate(spec, mc_pair, None, 500, 7, replica=replica)
         theta, r = states[-1].theta, states[-1].r
         th_hat, r_hat = theta - theta_star, (r - r_star) + (theta - theta_star)
         assert np.allclose(res.final.theta_hat[replica], th_hat, atol=1e-11)
@@ -715,13 +751,13 @@ def test_divergence_step_agrees_across_routes():
         return info.value.step
 
     steps = [
-        step_of(lambda r=r: simulate(spec, pair, None, K, noise_stream(spec, 0, r)))
+        step_of(lambda r=r: simulate(spec, pair, None, K, 0, replica=r))
         for r in range(200)
     ]
     # k0 = 300 locates the divergence in the original-coordinate phase.
     for k0 in (0, 300):
         transformed = step_of(
-            lambda: simulate_transformed(spec, pair, K, noise_stream(spec, 0, 0), k0=k0)
+            lambda: simulate_transformed(spec, pair, K, 0, k0=k0)
         )
         assert transformed == steps[0]
     # At N = 200 the earliest crossing is shared by replicas of several
@@ -751,9 +787,9 @@ def test_divergence_step_matches_oracle_loop():
     assert oracle == 69
     K, init = 500, ([1.0], [0.0])
     runs = {
-        "simulate": lambda: simulate(spec, pair, init, K, noise_stream(spec, 0, 0)),
+        "simulate": lambda: simulate(spec, pair, init, K, 0),
         "transformed": lambda: simulate_transformed(
-            spec, pair, K, noise_stream(spec, 0, 0), init=init
+            spec, pair, K, 0, init=init
         ),
         "ensemble": lambda: run_ensemble(spec, pair, 3, K, [K], base_seed=0, init=init),
     }
@@ -860,7 +896,7 @@ def test_gaussian_divergence_same_at_any_jobs():
     steps = []
     for r in range(70):
         with pytest.raises(Diverged) as info:
-            simulate(spec, pair, None, 2000, noise_stream(spec, 0, r))
+            simulate(spec, pair, None, 2000, 0, replica=r)
         steps.append(info.value.step)
     first = min(steps)
     expected = (first, [r for r in range(70) if steps[r] == first])

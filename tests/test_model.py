@@ -204,6 +204,15 @@ def test_noise_spec_rejects_indefinite_joint():
         NoiseSpec(Gamma11=[[1.0]], Gamma12=[[5.0]], Gamma22=[[1.0]])
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("block", ["Gamma11", "Gamma12", "Gamma22"])
+def test_noise_spec_rejects_non_finite_blocks(block, value):
+    blocks = dict(Gamma11=[[1.0]], Gamma12=[[0.0]], Gamma22=[[1.0]])
+    blocks[block] = [[value]]
+    with pytest.raises(ValueError, match="must be finite"):
+        NoiseSpec(**blocks)
+
+
 def test_noise_spec_rejects_unknown_distribution():
     with pytest.raises(ValueError):
         NoiseSpec(Gamma11=[[1.0]], Gamma12=[[0.0]], Gamma22=[[1.0]], distribution="cauchy")
