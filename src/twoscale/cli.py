@@ -3,7 +3,7 @@
 Exit codes form a stable contract:
 
     0  success / all tolerances met
-    1  unreadable or malformed configuration
+    1  unreadable or malformed configuration, or a flag below its floor
     2  assumption failure, tolerance failure, or divergence
     3  internal inconsistency (independent solution routes disagree)
 
@@ -132,6 +132,27 @@ def _require_two_time_scales(cfg: RunConfig) -> None:
         print(f"time-scale-separation: epsilon = {epsilon:.6g} > 0, "
               "but the limit equations assume epsilon = 0")
         raise AssumptionViolation(["time-scale-separation"])
+
+
+# The lowest value of each size flag and the engine parameter it sets.
+_FLAG_FLOORS = {
+    "replicas": ("N", 2),
+    "steps": ("K", 1),
+    "seed": ("base_seed", 0),
+    "jobs": ("jobs", 1),
+    "stride": ("record_stride", 1),
+}
+
+
+def _invalid_flag(args, names: str) -> int | None:
+    """Print which of the named flags is below its floor and return exit 1, else None."""
+    for name in names.split():
+        value = getattr(args, name)
+        param, low = _FLAG_FLOORS[name]
+        if value is not None and value < low:
+            print(f"invalid flag: --{name} {value}: {param} must be at least {low}", file=sys.stderr)
+            return EXIT_IO
+    return None
 
 
 def cmd_validate(args) -> int:
@@ -281,15 +302,20 @@ def _run_transformed_check(cfg: RunConfig, args) -> int:
     return EXIT_OK if worst <= TRANSFORMED_TOL else EXIT_TOLERANCE
 
 
+# Each mode and the size flags it reads.
 _MODES = {
-    "propagate": _run_propagate,
-    "ensemble": _run_ensemble,
-    "normality": _run_normality,
-    "transformed-check": _run_transformed_check,
+    "propagate": (_run_propagate, "steps"),
+    "ensemble": (_run_ensemble, "replicas steps seed jobs"),
+    "normality": (_run_normality, "replicas steps seed jobs"),
+    "transformed-check": (_run_transformed_check, "steps seed stride"),
 }
 
 
 def cmd_run(args) -> int:
+    run, flags = _MODES[args.mode]
+    bad = _invalid_flag(args, flags)
+    if bad is not None:
+        return bad
     cfg = load_config(args.config)
     if not args.skip_validate:
         gate = _validation_gate(cfg, "; rerun with --skip-validate to force")
@@ -297,10 +323,13 @@ def cmd_run(args) -> int:
             return gate
     if args.mode != "transformed-check":
         _require_two_time_scales(cfg)
-    return _MODES[args.mode](cfg, args)
+    return run(cfg, args)
 
 
 def cmd_averaging(args) -> int:
+    bad = _invalid_flag(args, "replicas steps seed jobs")
+    if bad is not None:
+        return bad
     doc = _read_object(args.config)
     reject_unknown_keys(doc, ("A", "b", "Gamma"), "averaging configuration")
     A = np.asarray(doc["A"], dtype=np.float64)

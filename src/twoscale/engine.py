@@ -34,18 +34,21 @@ Gaussian ensembles aggregate each segment's noise: for Gaussian u the term
 W'u is exactly N(0, W'W), and so is R'xi for the triangular factor R of
 W = QR (R'R = W'W, also when Gamma is singular) and d standard normals xi.
 `run_ensemble` therefore advances Gaussian replicas as Z <- Z P' + xi R,
-d draws per replica per segment instead of L d.  A diverging segment is
-replayed with the per-step inputs u = Q xi, which give W'u = R'xi exactly;
-when W itself overflowed, Q is undefined and the replay reads the per-step
-stream's draws instead.  Every other route draws per step and stays the
-pathwise reference.
+d draws per replica per segment instead of L d, all N rows in one pass per
+segment.  A diverging segment is replayed one replica chunk at a time with
+the per-step inputs u = Q xi, which give W'u = R'xi exactly; when W itself
+overflowed, Q is undefined and the replay reads the per-step stream's draws
+instead.  Every other route draws per step and stays the pathwise
+reference.
 
-Determinism contract (stream layout 4)
+Determinism contract (stream layout 5)
 --------------------------------------
 Every generator is SFC64 seeded by `SeedSequence(entropy=base_seed,
-spawn_key=(domain, chunk, block))`: the seed alone fills the entropy pool,
-zero-padded to a fixed width, so no two seeds share a key (a negative seed
-is refused).  Domain 0 serves per-step tiles, domain 1 aggregated draws.
+spawn_key=key)`: the seed alone fills the entropy pool, zero-padded to a
+fixed width, so no two seeds share a key (a negative seed is refused).
+Domain 0 serves per-step tiles with key (0, chunk, block); domain 1 serves
+aggregated draws with key (1, chunk).  The two never meet: the first key
+word differs.
 
 Per-step draws -- read by `simulate`, `simulate_transformed` and
 Rademacher ensembles -- are a pure function of (base_seed, replica, step).
@@ -65,11 +68,13 @@ with cols = block * d, entry [r, j] is 1 - 2 * ((w[i // 64] >> (i % 64))
 gives +1.0 and bit 1 gives -1.0.
 
 Aggregated Gaussian draws are a pure function of (base_seed, replica,
-segment partition).  One generator per (chunk, block) fills
-(NOISE_CHUNK, d) per segment of the block in step order.  The partition is
-cut by the tile edges, the checkpoints and K, so a replica's state at
-checkpoint c depends only on the segments that end at or before c: it is
-unchanged when K grows or checkpoints above c are added.
+segment partition).  One generator per chunk, keyed (1, chunk), serves the
+whole run: each segment, in step order, takes its next (NOISE_CHUNK, d)
+block of standard normals, and replica r reads row r mod NOISE_CHUNK of
+chunk r // NOISE_CHUNK's block.  The partition is cut by the tile edges,
+the checkpoints and K, so a replica's state at checkpoint c depends only
+on the segments that end at or before c: it is unchanged when K grows or
+checkpoints above c are added, and it does not depend on N.
 
 Both kinds of draws are bit-identical for any --jobs setting and replay
 exactly.
@@ -107,22 +112,10 @@ def noise_block_steps(dim: int) -> int:
 # noise streams
 
 
-def _generator(base_seed: int, domain: int, chunk_idx: int, block_idx: int) -> np.random.Generator:
-    """The generator of one (replica chunk, step block) in one draw domain."""
-    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(domain, chunk_idx, block_idx))
+def _generator(base_seed: int, *key: int) -> np.random.Generator:
+    """The SFC64 generator of one spawn key: (0, chunk, block) or (1, chunk)."""
+    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=key)
     return np.random.Generator(np.random.SFC64(seq))
-
-
-def _segment_draws(
-    base_seed: int, chunk_idx: int, block_idx: int, segments: int, dim: int
-) -> np.ndarray:
-    """Standard normals of one (replica chunk, step block) for aggregated segments.
-
-    Shape (segments, NOISE_CHUNK, dim), filled segment by segment in step
-    order, so the first j segments' draws do not depend on how many follow.
-    """
-    gen = _generator(base_seed, 1, chunk_idx, block_idx)
-    return gen.standard_normal((segments, NOISE_CHUNK, dim))
 
 
 def _standard_tile(
@@ -247,24 +240,24 @@ def _replay_moment(C, M, N, a: int) -> None:
     raise MomentDiverged(a + len(M))
 
 
-def _advance(Z: np.ndarray, plan, read, maps, replicas=None, step_inputs=None):
+def _advance(Z: np.ndarray, plan, read, maps, replicas=None, replay=None):
     """Advance row states Z through the segments of plan, yielding (b, Z_b) after each.
 
-    plan yields (a, b, P, W); read(a, b) returns the rows' inputs for steps
-    [a, b) flattened step-major, one row per state.  A segment that ends
-    beyond the divergence cutoff is replayed from its rebuilt maps(a, b) to
-    report the first bad step and, when replicas names the rows, which
-    replicas crossed it.  The replay takes the per-step inputs
-    step_inputs(a, b, U) of the segment's read U; by default U is already
-    per step.
+    plan yields (a, b, P, W); read(a, b) returns the rows' inputs U for
+    steps [a, b), one row per state.  A segment that ends beyond the
+    divergence cutoff raises Diverged with the first bad step and, when
+    replicas names the rows, the replicas that crossed it: replay(a, b, Z_a,
+    U, Z_b) locates it if given, else the segment is replayed from its
+    rebuilt maps(a, b) with U read as per-step inputs.
     """
     for a, b, P, W in plan:
         U = read(a, b)
         Z_next = Z @ P.T + U @ W
         # NaN compares false, so it fails the test like inf does.
         if not float(np.abs(Z_next).max()) <= DIVERGENCE_CUTOFF:
-            U = U.reshape(len(Z), b - a, -1) if step_inputs is None else step_inputs(a, b, U)
-            _replay(Z, *maps(a, b), U, a, replicas)
+            if replay is not None:
+                replay(a, b, Z, U, Z_next)
+            _replay(Z, *maps(a, b), U.reshape(len(Z), b - a, -1), a, replicas)
         Z = Z_next
         yield b, Z
 
@@ -512,6 +505,12 @@ class EnsembleResult:
         return self.checkpoints[-1]
 
 
+def _earliest(failed: list[Diverged]) -> Diverged:
+    """The earliest of some chunks' divergences, naming every replica that crossed at that step."""
+    step = min(e.step for e in failed)
+    return Diverged(step, [r for e in failed if e.step == step for r in e.replicas])
+
+
 def run_ensemble(
     spec: SystemSpec,
     pair: SchedulePair,
@@ -525,15 +524,16 @@ def run_ensemble(
     """Simulate N independent replicas and sample centered iterates at checkpoints.
 
     Replica r draws from the stream keyed (base_seed, r); chunk layout is a
-    fixed constant so any jobs value reproduces identical bits.  Only
-    per-step (Rademacher) ensembles spread chunks over jobs threads; Gaussian
-    ensembles run their chunks serially at any jobs.  Gaussian
-    replicas take one exact N(0, W'W) draw per segment, a pure function of
-    (base_seed, r, segment partition) and stable under growing K or adding
-    later checkpoints; Rademacher replicas read the per-step draws keyed by
+    fixed constant so any jobs value reproduces identical bits.  Gaussian
+    replicas take one exact N(0, W'W) draw per segment: row r % NOISE_CHUNK
+    of the next (NOISE_CHUNK, d) block of standard normals from the
+    generator of chunk r // NOISE_CHUNK, keyed (1, chunk), a pure function of
+    (base_seed, r, segment partition), stable under growing K or adding
+    later checkpoints.  All N rows cross each segment in one pass, serially
+    at any jobs.  Rademacher replicas read the per-step draws keyed by
     (base_seed, r), those of `simulate(..., base_seed, replica=r)`, one tile
-    at a time.  Tile-major:
-    every replica chunk crosses a noise tile before any chunk starts the
+    at a time, and only they spread replica chunks over jobs threads.
+    Either way every replica crosses a noise tile before any starts the
     next, so a divergence names the earliest bad step of the ensemble and
     every replica that crossed at it.  Samples are stored by replica index,
     making downstream statistics order-independent.
@@ -556,62 +556,89 @@ def run_ensemble(
     if 0 in cp_store:
         cp_store[0][:] = Z @ T.T
     chunks = [range(i, min(i + NOISE_CHUNK, N)) for i in range(0, N, NOISE_CHUNK)]
-    aggregated = spec.noise.distribution == "gaussian"
 
-    def work(replicas: range, t0: int, segments) -> Diverged | None:
-        rows, count = slice(replicas.start, replicas.stop), len(replicas)
-        key = (base_seed, replicas.start // NOISE_CHUNK, t0 // block)
+    if spec.noise.distribution == "gaussian":
+        gens = [_generator(base_seed, 1, c) for c in range(len(chunks))]
+        xi = np.empty((len(chunks) * NOISE_CHUNK, d))
+        blocks = list(xi.reshape(len(chunks), NOISE_CHUNK, d))
 
-        def per_step(tile, a, b):
-            return tile[:, (a - t0) * d : (b - t0) * d]
+        def draw(a, b):
+            for gen, out in zip(gens, blocks):
+                gen.standard_normal(out=out)
+            return xi[:N]
 
-        if aggregated:
-            draws = _segment_draws(*key, len(segments), d)[:, :count]
-            xi = {a: x for (a, *_), x in zip(segments, draws)}
+        def replay(a, b, Z_a, U, Z_b):
+            M, Nk = maps(a, b)
+            W = _compose(M, Nk)[1]
+            Q = np.linalg.qr(W)[0] if np.all(np.isfinite(W)) else None
+
+            def inputs(c, rows):
+                # u = Q xi for W = QR gives W'u = R'xi exactly.  When W itself
+                # overflowed Q is undefined, and the chunk replays its per-step tile.
+                count = rows.stop - rows.start
+                if Q is None:
+                    t0 = a - a % block
+                    tile = _standard_tile(base_seed, c, a // block, d, "gaussian", count)
+                    return tile[:, (a - t0) * d : (b - t0) * d].reshape(count, b - a, -1)
+                return (U[rows] @ Q.T).reshape(count, b - a, -1)
+
+            # Chunk by chunk, so the per-step inputs stay one chunk's size:
+            # each chunk's inputs live only for its own _replay call.
+            bad = ~(np.abs(Z_b).max(axis=1) <= DIVERGENCE_CUTOFF)
+            failed = []
+            for c, replicas in enumerate(chunks):
+                rows = slice(replicas.start, replicas.stop)
+                if bad[rows].any():
+                    try:
+                        _replay(Z_a[rows], M, Nk, inputs(c, rows), a, replicas)
+                    except Diverged as exc:
+                        # Without its traceback it no longer holds the chunk's inputs.
+                        failed.append(exc.with_traceback(None))
+            raise _earliest(failed)
+
+        segments = _segments(maps, 0, K, block, cps)
+        plan = ((a, b, P, np.linalg.qr(W, mode="r")) for a, b, P, W in segments)
+        # Unstable systems overflow to inf by design; the replay locates it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b, Z in _advance(Z, plan, draw, maps, replay=replay):
+                if b in cp_store:
+                    cp_store[b][:] = Z @ T.T
+    else:
+
+        def work(replicas: range, t0: int, segments) -> Diverged | None:
+            rows = slice(replicas.start, replicas.stop)
+            tile = _standard_tile(
+                base_seed, replicas.start // NOISE_CHUNK, t0 // block, d,
+                spec.noise.distribution, len(replicas),
+            )
 
             def read(a, b):
-                return xi[a]
+                return tile[:, (a - t0) * d : (b - t0) * d]
 
-            def step_inputs(a, b, U):
-                W = _compose(*maps(a, b))[1]
-                if np.all(np.isfinite(W)):
-                    return (U @ np.linalg.qr(W)[0].T).reshape(count, b - a, d)
-                # The aggregate itself overflowed: replay the per-step stream.
-                tile = _standard_tile(*key, d, "gaussian", count)
-                return per_step(tile, a, b).reshape(count, b - a, d)
-        else:
-            tile = _standard_tile(*key, d, spec.noise.distribution, count)
-            read, step_inputs = functools.partial(per_step, tile), None
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                for b, Z_b in _advance(Z[rows], segments, read, maps, replicas, step_inputs):
-                    Z[rows] = Z_b
-                    if b in cp_store:
-                        cp_store[b][rows] = Z_b @ T.T
-            except Diverged as exc:
-                return exc
-
-    def run_tiles(mapper) -> None:
-        for t0 in range(0, K, block):
-            # Unstable systems overflow to inf by design; the replay locates it.
             with np.errstate(over="ignore", invalid="ignore"):
-                segments = list(_segments(maps, t0, min(K, t0 + block), block, cps))
-                if aggregated:
-                    segments = [(a, b, P, np.linalg.qr(W, mode="r")) for a, b, P, W in segments]
-            failed = [e for e in mapper(functools.partial(work, t0=t0, segments=segments), chunks) if e]
-            if failed:
-                step = min(e.step for e in failed)
-                replicas = [r for e in failed if e.step == step for r in e.replicas]
-                raise Diverged(step, replicas)
-            del segments  # free this tile's segments before composing the next
+                try:
+                    for b, Z_b in _advance(Z[rows], segments, read, maps, replicas):
+                        Z[rows] = Z_b
+                        if b in cp_store:
+                            cp_store[b][rows] = Z_b @ T.T
+                except Diverged as exc:
+                    return exc
 
-    # A Gaussian chunk's work per tile is too short to overlap in threads.
-    if jobs <= 1 or len(chunks) == 1 or aggregated:
-        run_tiles(map)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            run_tiles(pool.map)
+        def run_tiles(mapper) -> None:
+            for t0 in range(0, K, block):
+                # Unstable systems overflow to inf by design; the replay locates it.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    segments = list(_segments(maps, t0, min(K, t0 + block), block, cps))
+                failed = [e for e in mapper(functools.partial(work, t0=t0, segments=segments), chunks) if e]
+                if failed:
+                    raise _earliest(failed)
+                del segments  # free this tile's segments before composing the next
+
+        if jobs <= 1 or len(chunks) == 1:
+            run_tiles(map)
+        else:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+                run_tiles(pool.map)
 
     samples = [
         CheckpointSamples(c, pair.slow.value(c), pair.fast.value(c), X[:, :n], X[:, n:])

@@ -185,8 +185,8 @@ def test_criterion_6_asymptotic_normality():
     assert rep_r.passed
 
     detail = (
-        f"gaussian {passes}/10 seeds pass (ks max {max(stats):.4f} < 0.0163); "
-        f"rademacher ks {rep_r.ks_statistic:.4f}"
+        f"gaussian {passes}/10 seeds pass (ks by seed {' '.join(f'{s:.4f}' for s in stats)}; "
+        f"max {max(stats):.4f} < 0.0163); rademacher ks {rep_r.ks_statistic:.4f}"
     )
     report("6 asymptotic normality", time.perf_counter() - t0, 300.0, detail)
 

@@ -432,11 +432,26 @@ def test_run_propagate_divergence_names_the_moment_cutoff(tmp_path, capsys):
     assert "diverged: second-moment entry above 1e+24 in magnitude at step" in out
 
 
-def test_run_negative_seed_exits_1(mc_config, capsys):
-    argv = ["run", "--config", mc_config, "--mode", "ensemble", "--replicas", "8",
-            "--steps", "10", "--seed", "-1"]
-    assert cli.main(argv) == 1
-    assert "malformed configuration" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--mode", "ensemble", "--replicas", "1"], "--replicas"),
+        (["run", "--mode", "propagate", "--steps", "0"], "--steps"),
+        (["run", "--mode", "ensemble", "--seed", "-1"], "--seed"),
+        (["run", "--mode", "normality", "--jobs", "-5"], "--jobs"),
+        (["run", "--mode", "transformed-check", "--stride", "0"], "--stride"),
+        (["averaging", "--replicas", "1"], "--replicas"),
+        (["averaging", "--jobs", "0"], "--jobs"),
+    ],
+    ids=["replicas", "steps", "seed", "jobs", "stride", "averaging-replicas", "averaging-jobs"],
+)
+def test_invalid_flag_exits_1_naming_it(tmp_path, capsys, argv, flag):
+    # The configuration does not exist: flags are checked before it is read.
+    missing = str(tmp_path / "absent.json")
+    assert cli.main(argv[:1] + ["--config", missing] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert f"invalid flag: {flag} " in err
+    assert "malformed configuration" not in err and "cannot read" not in err
 
 
 def test_run_gate_blocks_invalid_without_skip(tmp_path):

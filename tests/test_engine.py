@@ -20,7 +20,7 @@ from twoscale import (
 )
 from twoscale import engine
 from twoscale.engine import (
-    _segment_draws,
+    NOISE_CHUNK,
     _segments,
     _standard_tile,
     _suffix_products,
@@ -38,6 +38,16 @@ def chunk_draws(base_seed, chunk_idx, dim, distribution, steps):
         [_standard_tile(base_seed, chunk_idx, i, dim, distribution) for i in range(tiles)], axis=1
     )
     return row[:, : steps * dim]
+
+
+def segment_draws(base_seed, chunk_idx, segments, dim):
+    """Aggregated-segment draws of one replica chunk, shape (segments, NOISE_CHUNK, dim).
+
+    Drawn as the ensemble draws them: the next (NOISE_CHUNK, dim) block of
+    the chunk's domain-1 generator per segment, in step order.
+    """
+    gen = engine._generator(base_seed, 1, chunk_idx)
+    return np.stack([gen.standard_normal((NOISE_CHUNK, dim)) for _ in range(segments)])
 
 
 def replica_draws(spec, base_seed, replica, a, b, cuts=()):
@@ -207,16 +217,16 @@ def _digest(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
 
 
-# sha256 of the little-endian float64 bytes.  The Gaussian tiles and the
-# segment draws are unchanged since stream layout 3; the scaled-Rademacher
-# tiles are those of layout 4.
+# sha256 of the little-endian float64 bytes.  The Gaussian tiles are
+# unchanged since stream layout 3 and the scaled-Rademacher tiles since
+# layout 4; the segment draws are those of layout 5, one generator per chunk.
 GOLDEN = {
     ("gaussian", 2): "6cd4b326f84ea8efc8f85eddb024074d3f09c7474fc628fb1e9dc6a58e29a25f",
     ("gaussian", 6): "e2e7349126c7245a04ec29e82352445dceb325a1fc25c6bfe2692b87fd2bb68e",
     ("scaled-rademacher", 2): "3c825b34da8b38ddbe798df79b07a758cb34ccbe7fa27bccbd84a163e33c7b5d",
     ("scaled-rademacher", 6): "febb119819ed25a2301c88c1ca74c3ef481bc3b242517fe09bebddc3c7e48d5e",
-    ("segments", 2): "84ea0308863264d9f89a5cb77fc6ee52dbb2a5b257c80e280766fcb4c1099238",
-    ("segments", 6): "f9dec2c94499e2e576a41e9fbb5f778109178974893324bd93bf81dd52991792",
+    ("segments", 2): "f81076eed01c36cdf9205ebdedbbc150ea4e703b7bda3d8a086110939a3824ca",
+    ("segments", 6): "ee0d3781d380fca22b33ec12a14eb0f600b06458314f9376f9736dbe9971927e",
 }
 
 
@@ -236,7 +246,7 @@ def test_standard_tile_rows_are_a_prefix_of_the_full_tile(distribution, dim):
 
 @pytest.mark.parametrize("dim", [2, 6])
 def test_segment_draws_golden_digest(dim):
-    assert _digest(_segment_draws(7, 1, 2, 3, dim)) == GOLDEN["segments", dim]
+    assert _digest(segment_draws(7, 1, 3, dim)) == GOLDEN["segments", dim]
 
 
 # ---------------------------------------------------------------------------
@@ -923,18 +933,61 @@ def test_gaussian_replay_inputs_reproduce_the_drawn_aggregate(monkeypatch):
     [(M, N, U, a)] = seen
     assert a == 0 and U.shape == (N_rep, K, 2)
     W = engine._compose(M, N)[1]
-    xi = _segment_draws(4, 0, 0, 1, 2)[0, :N_rep]
+    xi = segment_draws(4, 0, 1, 2)[0, :N_rep]
     drawn = xi @ np.linalg.qr(W, mode="r")
     assert np.allclose(U.reshape(N_rep, -1) @ W, drawn, rtol=1e-10, atol=0.0)
 
 
+def test_gaussian_ensemble_builds_one_generator_per_chunk(sys_a, mc_pair, monkeypatch):
+    # d = 2: K = 5000 spans three 2048-step tiles; N = 130 is three chunks.
+    keys = []
+    generator = engine._generator
+
+    def counting_generator(base_seed, *key):
+        keys.append(key)
+        return generator(base_seed, *key)
+
+    monkeypatch.setattr(engine, "_generator", counting_generator)
+    run_ensemble(sys_a, mc_pair, 130, 5000, [300, 5000], base_seed=2)
+    assert sorted(key for key in keys if key[0] == 1) == [(1, 0), (1, 1), (1, 2)]
+    assert all(key[0] == 1 for key in keys)
+
+
+def test_gaussian_divergence_replay_memory_does_not_grow_with_replicas():
+    # K = 2000: the one segment's W overflows, so every chunk replays its
+    # per-step tile.  Replaying all N = 640 rows at once would hold a
+    # (640, 2000, 2) input array, about 20 MB; chunk by chunk it is one
+    # chunk's tile whatever N is.
+    spec = unstable_system()
+    pair = SchedulePair(slow=StepSchedule(1.0, 1e6, 1.0), fast=StepSchedule(1.0, 1e6, 0.7))
+
+    def peak_bytes(N):
+        tracemalloc.start()
+        try:
+            with pytest.raises(Diverged) as info:
+                run_ensemble(spec, pair, N, 2000, [2000], base_seed=0)
+            assert len(info.value.replicas) >= 1
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(64)  # warm up caches that a first call allocates
+    assert peak_bytes(640) - peak_bytes(64) < 2e6
+
+
 def test_segment_draws_keys_do_not_alias():
-    # Variable-width entropy would spell (5, 3, 4) and (5 + 3 * 2**32, 4, 0)
-    # with the same 32-bit words.
-    draws = _segment_draws(5, 3, 4, 1, 2)
-    assert not np.array_equal(draws, _segment_draws(5 + 3 * 2**32, 4, 0, 1, 2))
-    assert not np.array_equal(draws, _segment_draws(5, 4, 3, 1, 2))
-    assert np.array_equal(draws, _segment_draws(5, 3, 4, 2, 2)[:1])
+    # The seed fills its own fixed-width entropy words, so a seed that
+    # differs only in its second 32-bit word, where variable-width entropy
+    # would put the key's domain word, draws other noise.
+    draws = segment_draws(5, 3, 1, 2)
+    assert not np.array_equal(draws, segment_draws(5 + 2**32, 3, 1, 2))
+    assert not np.array_equal(draws, segment_draws(5, 4, 1, 2))
+    assert np.array_equal(draws, segment_draws(5, 3, 2, 2)[:1])
+    # Domain-0 keys (0, chunk, block) never meet a domain-1 key (1, chunk):
+    # no per-step Gaussian tile starts with a chunk's segment draws.
+    for chunk_idx, block_idx in [(3, 0), (3, 1), (1, 3), (0, 3)]:
+        tile = _standard_tile(5, chunk_idx, block_idx, 2, "gaussian")
+        assert not np.array_equal(draws[0], tile.ravel()[: NOISE_CHUNK * 2].reshape(NOISE_CHUNK, 2))
 
 
 def test_standard_tile_keys_do_not_alias():
