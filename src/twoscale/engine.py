@@ -15,7 +15,9 @@ stacks (R_j N_j)' for the suffix products R_j = M_{L-1} ... M_{j+1}.
 
 Segments end at every noise-tile edge and at every checkpoint or recorded
 step, so each segment reads inside one tile and every reported state is the
-exact composition of its steps.  Step maps are built once per tile and
+exact composition of its steps.  Step maps are built once per tile, as one
+(L, 2) x (2, d^2) product of the tile's step sizes with coefficient rows
+fixed for the run, exact because each entry has one nonzero term, and
 sliced per segment.  Exact propagation updates the second moment as
 C <- P C P' + W'W.  Every simulated route goes through one driver,
 `_advance`, which moves a block of row states as Z <- Z P' + U W, U the
@@ -190,12 +192,43 @@ def _compose(M: np.ndarray, N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return S[0].copy(), Wt.reshape(L * e, d)
 
 
-def _step_maps(spec: SystemSpec, pair: SchedulePair, F: np.ndarray, a: int, b: int):
-    """Per-step maps M_k = I - D_k A and input weights N_k = D_k F for k in [a, b)."""
-    ks = np.arange(a, b)
-    steps = np.stack([pair.slow.values(ks), pair.fast.values(ks)], axis=1)
-    dvec = np.repeat(steps, [spec.n, spec.m], axis=1)[:, :, None]
-    return np.eye(spec.n + spec.m) - dvec * spec.block_matrix(), dvec * F
+def _step_maps(spec: SystemSpec, pair: SchedulePair):
+    """Builder maps(a, b) of the per-step maps M_k = I - D_k A and N_k = D_k F, k in [a, b).
+
+    D_k A is linear in the step sizes s_k = (beta_k, gamma_k): it is s_k c
+    for the coefficient rows c = (A with its fast rows zeroed, A with its
+    slow rows zeroed), flattened, and D_k F likewise.  So one tile's maps are
+    an (L, 2) x (2, d^2) and an (L, 2) x (2, d e) product, with rows built
+    once per run.  They equal the entrywise D_k A and D_k F bit for bit: each
+    entry has one nonzero term, the other being a step size times zero.  Only
+    the sign of a zero can differ, since the product's sums start at +0.0.
+    I - (+-0) is +0.0 either way, and N takes back F's signs whenever some
+    beta_k F_ij or gamma_k F_ij can be zero: F has a -0.0 entry, as singular
+    covariances give, or a product may underflow.
+    """
+    n, d = spec.n, spec.n + spec.m
+    F = spec.noise.factor
+    rows = np.zeros((2, d, 1))
+    rows[0, :n] = rows[1, n:] = 1.0
+    coef_A = (rows * spec.block_matrix()).reshape(2, d * d)
+    coef_F = (rows * F).reshape(2, -1)
+    identity = np.eye(d).reshape(d * d)
+    signs = F.reshape(-1)
+    # A product rounds to zero only if some step times the least |F_ij| that
+    # carries a sign bit falls below the smallest normal double.
+    least_signed = np.abs(signs[np.signbit(signs)]).min(initial=np.inf)
+
+    def maps(a: int, b: int):
+        ks = np.arange(a, b)
+        steps = np.stack([pair.slow.values(ks), pair.fast.values(ks)], axis=1)
+        M = steps @ coef_A
+        np.subtract(identity, M, out=M)
+        N = steps @ coef_F
+        if not steps.min() * least_signed >= np.finfo(np.float64).tiny:
+            np.copysign(N, signs, out=N)
+        return M.reshape(b - a, d, d), N.reshape(b - a, d, -1)
+
+    return maps
 
 
 def _segments(maps, start: int, stop: int, block: int, edges):
@@ -305,7 +338,7 @@ def simulate(
         raise ValueError("record_stride must be at least 1")
     n = spec.n
     x_star = np.concatenate(fixed_point(spec))
-    maps = functools.partial(_step_maps, spec, pair, spec.noise.factor)
+    maps = _step_maps(spec, pair)
     read = _step_reader(spec, base_seed, replica)
     z0 = _deviation(spec, init)[None]
 
@@ -372,7 +405,7 @@ def simulate_transformed(
     T = centring_matrix(spec)
     delta = delta_matrix(spec)
     Z = _deviation(spec, init)[None]
-    original = functools.partial(_step_maps, spec, pair, F)
+    original = _step_maps(spec, pair)
     read = _step_reader(spec, base_seed, 0)
 
     def decoupled(a, b):
@@ -461,7 +494,7 @@ def propagate_covariance(
 
     T = centring_matrix(spec)
     out = []
-    maps = functools.partial(_step_maps, spec, pair, spec.noise.factor)
+    maps = _step_maps(spec, pair)
     plan = _segments(maps, 0, cps[-1], noise_block_steps(d), cps)
     # Unstable systems overflow the composed maps; the replay reports where.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -550,7 +583,7 @@ def run_ensemble(
     z0 = _deviation(spec, init)
     T = centring_matrix(spec)
     block = noise_block_steps(d)
-    maps = functools.partial(_step_maps, spec, pair, spec.noise.factor)
+    maps = _step_maps(spec, pair)
     Z = np.repeat(z0[None, :], N, axis=0)
     cp_store = {c: np.empty((N, d)) for c in cps}
     if 0 in cp_store:

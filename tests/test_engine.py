@@ -1,4 +1,7 @@
 import hashlib
+import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -6,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import twoscale
 from conftest import random_stable_system
 from twoscale import (
     NoiseSpec,
@@ -720,6 +724,37 @@ def test_suffix_products_match_naive_loop(L):
         assert np.linalg.norm(S[j] - R) <= 1e-12 * np.linalg.norm(R)
 
 
+@pytest.mark.parametrize("n, m", [(1, 3), (3, 1), (2, 2)])
+@pytest.mark.parametrize("case", ["generic", "zeros", "underflow"])
+def test_step_maps_equal_the_entrywise_products_bit_for_bit(n, m, case):
+    rng = np.random.default_rng(10 * n + m)
+    spec = random_stable_system(rng, n, m)
+    pair = SchedulePair(slow=StepSchedule(0.1, 10.0, 1.0), fast=StepSchedule(0.5, 10.0, 0.7))
+    if case == "zeros":
+        # A12 = 0 and a rank-one Gamma, whose factor has -0.0 entries.
+        B = rng.standard_normal((n + m, 1))
+        G = B @ B.T
+        spec = replace(spec, A12=np.zeros((n, m)), noise=NoiseSpec(G[:n, :n], G[:n, n:], G[n:, n:]))
+        assert np.any(np.signbit(spec.noise.factor) & (spec.noise.factor == 0.0))
+    if case == "underflow":
+        # The smallest positive double as beta_0: the products of F's entries
+        # below 1/2 in magnitude round to +-0, though F itself has no zero.
+        pair = replace(pair, slow=StepSchedule(5e-324, 10.0, 1.0))
+        assert np.all(spec.noise.factor != 0.0)
+        assert np.any((spec.noise.factor[:n] < 0.0) & (spec.noise.factor[:n] > -0.5))
+    d, F = n + m, spec.noise.factor
+    block = noise_block_steps(d)
+    maps = engine._step_maps(spec, pair)
+    for a, b in [(0, block), (3 * block, 4 * block), (5 * block + 17, 5 * block + 18)]:
+        ks = np.arange(a, b)
+        steps = np.stack([pair.slow.values(ks), pair.fast.values(ks)], axis=1)
+        dvec = np.repeat(steps, [n, m], axis=1)[:, :, None]
+        M, N = maps(a, b)
+        assert M.tobytes() == (np.eye(d) - dvec * spec.block_matrix()).tobytes(), (a, b)
+        assert N.tobytes() == (dvec * F).tobytes(), (a, b)
+        assert M.shape == (b - a, d, d) and N.shape == (b - a, d, d)
+
+
 @pytest.mark.parametrize(
     "start, stop, edges",
     [
@@ -809,6 +844,84 @@ def test_divergence_step_matches_oracle_loop():
         assert info.value.step == oracle, name
     # The ensemble ran last; its three identical replicas cross together.
     assert info.value.replicas == [0, 1, 2]
+
+
+def joint_stable_system(rng, n, m, distribution="gaussian"):
+    """First random_stable_system draw whose joint drift A is stable as well."""
+    for _ in range(1000):
+        spec = random_stable_system(rng, n, m, drift_margin=1.5, distribution=distribution)
+        if np.min(np.linalg.eigvals(spec.block_matrix()).real) > 0.3:
+            return spec
+    raise RuntimeError("no joint-stable system in 1000 draws")
+
+
+SMALL_STEPS = SchedulePair(slow=StepSchedule(0.2, 5.0, 1.0), fast=StepSchedule(0.2, 1000.0, 0.6))
+
+
+def _route_states(route):
+    """Every state one small run of a route reports, as one float64 array."""
+    criterion_3 = SchedulePair(slow=StepSchedule(1.0, 10.0, 1.0), fast=StepSchedule(1.0, 10.0, 0.7))
+    if route == "propagate":
+        system_a = SystemSpec(
+            A11=[[2.0]], A12=[[1.0]], A21=[[1.0]], A22=[[1.0]], b1=[1.0], b2=[2.0],
+            noise=NoiseSpec(Gamma11=[[1.0]], Gamma12=[[0.0]], Gamma22=[[1.0]]),
+        )
+        geometric = [2**j for j in range(17)] + [10**5]
+        runs = [
+            propagate_covariance(system_a, criterion_3, None, 10**5, geometric),
+            propagate_covariance(
+                joint_stable_system(np.random.default_rng(41), 3, 3), SMALL_STEPS, None, 10**5, geometric
+            ),
+        ]
+        cps = [cp for run in runs for cp in run]
+        return np.concatenate(
+            [np.concatenate([[cp.beta, cp.gamma], cp.Sigma11.ravel(), cp.Sigma12.ravel(), cp.Sigma22.ravel()])
+             for cp in cps]
+        )
+    if route == "simulate":
+        spec = random_stable_system(np.random.default_rng(42), 2, 2)
+        pair = SchedulePair(slow=StepSchedule(0.1, 10.0, 1.0), fast=StepSchedule(0.5, 10.0, 0.7))
+        states = simulate(spec, pair, None, 5000, base_seed=7)
+        return np.concatenate([np.concatenate([st.theta, st.r]) for st in states])
+    spec = joint_stable_system(np.random.default_rng(43), 3, 3, "scaled-rademacher")
+    res = run_ensemble(spec, SMALL_STEPS, 128, 2000, [0, 1, 700, 2000], base_seed=9)
+    return np.concatenate([np.column_stack([cp.theta_hat, cp.r_hat]).ravel() for cp in res.checkpoints])
+
+
+# sha256 of every state's little-endian float64 bytes on one small run per
+# route: propagation of system A and of a d = 6 system to K = 1e5, a d = 4
+# trajectory over K = 5000 and a d = 6 scaled-Rademacher ensemble (N = 128,
+# K = 2000).  They pin the bits of the whole segment kernel, so a rewrite of
+# the step maps or of the composition must keep them.  The kernel's products
+# run in the linked BLAS, whose rounding can depend on its build and on its
+# thread count (OpenBLAS splits the ensemble's (64, 4092) x (4092, 6)
+# product differently on two threads), so the runs happen in a child with
+# BLAS pinned to one thread; these are the digests of OpenBLAS 0.3.31 under
+# numpy 2.4.6.
+ROUTE_GOLDEN = {
+    "ensemble": "3e92dbd1c45bc7d8a1ba02241dced670ca94be5b057e91acd60b526faae33213",
+    "propagate": "fee821053e65e9c64fb72f2a5a0c6612597bdec78b5a28bd227dd7d14daa25ca",
+    "simulate": "96645810443a62b366dee7913630006bc12c2e6f73e3de20c4d3e72f937ae068",
+}
+ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+@pytest.fixture(scope="module")
+def route_digests():
+    code = (
+        "import json, test_engine\n"
+        "print(json.dumps({r: test_engine._digest(test_engine._route_states(r)) for r in test_engine.ROUTE_GOLDEN}))"
+    )
+    paths = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(twoscale.__file__))]
+    env = {**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_GOLDEN))
+def test_route_states_golden_digest(route_digests, route):
+    assert route_digests[route] == ROUTE_GOLDEN[route]
 
 
 def test_ensemble_memory_does_not_grow_with_steps(mc_pair):
