@@ -139,7 +139,7 @@ _FLAG_FLOORS = {
     "replicas": ("N", 2),
     "steps": ("K", 1),
     "seed": ("base_seed", 0),
-    "jobs": ("jobs", 1),
+    "jobs": ("jobs", 1),  # sets none: accepted, checked and ignored
     "stride": ("record_stride", 1),
 }
 
@@ -240,7 +240,7 @@ def _entrywise_pass(est, pred, se) -> bool:
 def _run_ensemble(cfg: RunConfig, args) -> int:
     cps = geometric_checkpoints(args.steps)
     result = engine.run_ensemble(
-        cfg.system, cfg.schedules, args.replicas, args.steps, cps, args.seed, jobs=args.jobs
+        cfg.system, cfg.schedules, args.replicas, args.steps, cps, args.seed
     )
     rows = [
         (cp.k, cp.beta, cp.gamma,
@@ -263,8 +263,7 @@ def _run_ensemble(cfg: RunConfig, args) -> int:
 
 def _run_normality(cfg: RunConfig, args) -> int:
     result = engine.run_ensemble(
-        cfg.system, cfg.schedules, args.replicas, args.steps, [args.steps], args.seed,
-        jobs=args.jobs,
+        cfg.system, cfg.schedules, args.replicas, args.steps, [args.steps], args.seed
     )
     pred = theory.predict_full(cfg.system, cfg.schedules.beta_bar)
     cp = result.final
@@ -346,7 +345,7 @@ def cmd_averaging(args) -> int:
     K = args.steps
 
     predicted = theory.predict_reduced(spec, pair.beta_bar)
-    result = engine.run_ensemble(spec, pair, args.replicas, K, [K], args.seed, jobs=args.jobs)
+    result = engine.run_ensemble(spec, pair, args.replicas, K, [K], args.seed)
     cp = result.final
     S11, _, _ = estimator.scaled_covariances(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
     SE11, _, _ = estimator.standard_errors(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
@@ -383,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("run averaging", ["--replicas", "-N"], dict(int_flag, default=1000)),
         ("run averaging", ["--steps", "-K"], dict(int_flag, default=10000)),
         ("run averaging", ["--seed"], dict(int_flag, default=0)),
-        ("run averaging", ["--jobs"], dict(int_flag, default=1)),
+        ("run averaging", ["--jobs"],
+         dict(int_flag, default=1, help="accepted and ignored; default: %(default)s")),
         ("run", ["--stride"], dict(type=int, help="default: steps // 100")),
         ("predict run", ["--out"], dict(help="output CSV path (default stdout)")),
         ("run", ["--skip-validate"], dict(action="store_true")),

@@ -22,11 +22,12 @@ sliced per segment.  Exact propagation updates the second moment as
 C <- P C P' + W'W.  Every simulated route goes through one driver,
 `_advance`, which moves a block of row states as Z <- Z P' + U W, U the
 rows' inputs over the segment: one row for `simulate` and for both phases
-of `simulate_transformed`, one replica chunk for `run_ensemble`.  Every
-route runs in deviations from the fixed point x*, so the offset b never
-enters the kernel; `simulate` adds x* back to the states it records.  The
-ensemble runs tile-major: it composes one noise tile's segments, moves
-every chunk through them, and drops them before the next tile, so its
+of `simulate_transformed`, one replica chunk for a Rademacher ensemble,
+each read through `_step_reader`.  Every route runs in deviations from the
+fixed point x*, so the offset b never enters the kernel; `simulate` adds
+x* back to the states it records.  A Rademacher ensemble runs tile-major
+in one serial loop: it composes one noise tile's segments, moves every
+chunk through them in turn, and drops them before the next tile, so its
 memory is flat in K.  A segment that ends beyond the divergence cutoff is
 replayed one step at a time from its rebuilt per-step maps to report the
 first bad step and the replicas that crossed it.  Exact propagation
@@ -59,15 +60,16 @@ noise_block_steps(d) for joint noise dimension d; one generator per
 (chunk, block) fills that tile in row-major order, so a reader generates
 only the rows up to the last one it needs, and the draw for (replica,
 step, coordinate c) is the tile entry [replica mod chunk,
-(step mod block) * d + c].  A single trajectory's reader is keyed by
-(base_seed, replica) and holds one tile row, the one it read last.  Tile
-shapes are fixed functions of d alone, so which values a replica sees
-never depends on N, K, checkpoints, chunk scheduling, or the degree of
-parallelism.  A Gaussian tile is the generator's standard normals in
-row-major order.  A scaled-Rademacher tile spends one raw bit per sign:
-with cols = block * d, entry [r, j] is 1 - 2 * ((w[i // 64] >> (i % 64))
-& 1) for i = r * cols + j and w the generator's raw 64-bit words, so bit 0
-gives +1.0 and bit 1 gives -1.0.
+(step mod block) * d + c].  A reader is keyed by base_seed and a range
+of replicas inside one chunk, and holds those rows of the tile it read
+last: one row for a single trajectory, the whole chunk for a Rademacher
+ensemble.  Tile shapes are fixed functions of d alone, so which values a
+replica sees never depends on N, K, checkpoints or chunk scheduling.  A
+Gaussian tile is the generator's standard normals in row-major order.  A
+scaled-Rademacher tile spends one raw bit per sign: with cols = block * d,
+entry [r, j] is 1 - 2 * ((w[i // 64] >> (i % 64)) & 1) for i = r * cols +
+j and w the generator's raw 64-bit words, so bit 0 gives +1.0 and bit 1
+gives -1.0.
 
 Aggregated Gaussian draws are a pure function of (base_seed, replica,
 segment partition).  One generator per chunk, keyed (1, chunk), serves the
@@ -78,13 +80,11 @@ the checkpoints and K, so a replica's state at checkpoint c depends only
 on the segments that end at or before c: it is unchanged when K grows or
 checkpoints above c are added, and it does not depend on N.
 
-Both kinds of draws are bit-identical for any --jobs setting and replay
-exactly.
+Both kinds of draws replay exactly.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import itertools
 from bisect import bisect_left, bisect_right
@@ -92,7 +92,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DIVERGENCE_CUTOFF, Diverged, MomentDiverged, NotPSD
+from .errors import DIVERGENCE_CUTOFF, Diverged, MomentDiverged, NonFinite, NotPSD
 from .linalg import _suffix_products, psd_floor, symmetrize
 from .model import SystemSpec, centring_matrix, delta_matrix, fixed_point
 from .schedules import SchedulePair
@@ -147,26 +147,29 @@ def _standard_tile(
     return vals.reshape(rows, cols)
 
 
-def _step_reader(spec: SystemSpec, base_seed: int, replica: int):
-    """Reader of one replica's standardized per-step draws.
+def _step_reader(spec: SystemSpec, base_seed: int, replicas: range):
+    """Reader of the standardized per-step draws of replicas, which lie in one chunk.
 
-    read(a, b) returns the draws of steps [a, b) flattened step-major as one
-    row, shape (1, (b - a) * d).  [a, b) lies inside one noise tile, as every
-    `_segments` segment does.  The reader holds only the tile row it read
-    last, so reading in step order generates each tile once.
+    read(a, b) returns the draws of steps [a, b) flattened step-major, one
+    row per replica, shape (len(replicas), (b - a) * d).  [a, b) lies inside
+    one noise tile, as every `_segments` segment does.  The reader holds
+    only its rows of the tile it read last, so reading in step order
+    generates each tile once.
     """
     d = spec.n + spec.m
     block = noise_block_steps(d)
-    chunk_idx, r = divmod(replica, NOISE_CHUNK)
+    chunk_idx, r0 = divmod(replicas.start, NOISE_CHUNK)
 
     @functools.lru_cache(maxsize=1)
-    def row(block_idx: int) -> np.ndarray:
-        tile = _standard_tile(base_seed, chunk_idx, block_idx, d, spec.noise.distribution, r + 1)
-        return tile[r].copy()
+    def rows(block_idx: int) -> np.ndarray:
+        tile = _standard_tile(
+            base_seed, chunk_idx, block_idx, d, spec.noise.distribution, r0 + len(replicas)
+        )
+        return tile[r0:].copy() if r0 else tile
 
     def read(a: int, b: int) -> np.ndarray:
         t0 = a - a % block
-        return row(a // block)[(a - t0) * d : (b - t0) * d].reshape(1, -1)
+        return rows(a // block)[:, (a - t0) * d : (b - t0) * d]
 
     return read
 
@@ -313,6 +316,8 @@ def _deviation(spec: SystemSpec, init) -> np.ndarray:
     if init is not None:
         x0[:n] = np.asarray(init[0], dtype=np.float64).reshape(n)
         x0[n:] = np.asarray(init[1], dtype=np.float64).reshape(m)
+        if not np.all(np.isfinite(x0)):
+            raise NonFinite("initial state has non-finite entries")
     return x0 - np.concatenate(fixed_point(spec))
 
 
@@ -339,7 +344,7 @@ def simulate(
     n = spec.n
     x_star = np.concatenate(fixed_point(spec))
     maps = _step_maps(spec, pair)
-    read = _step_reader(spec, base_seed, replica)
+    read = _step_reader(spec, base_seed, range(replica, replica + 1))
     z0 = _deviation(spec, init)[None]
 
     states = []
@@ -406,7 +411,7 @@ def simulate_transformed(
     delta = delta_matrix(spec)
     Z = _deviation(spec, init)[None]
     original = _step_maps(spec, pair)
-    read = _step_reader(spec, base_seed, 0)
+    read = _step_reader(spec, base_seed, range(1))
 
     def decoupled(a, b):
         # Slow: theta' = theta - beta (B11 theta + A12 r) + beta V with
@@ -485,6 +490,8 @@ def propagate_covariance(
         C = np.zeros((d, d))
     else:
         C = symmetrize(np.asarray(C0, dtype=np.float64).reshape(d, d))
+        if not np.all(np.isfinite(C)):
+            raise NonFinite("initial second moment has non-finite entries")
         if float(np.min(np.linalg.eigvalsh(C))) < psd_floor(C):
             raise NotPSD("initial second moment has a negative eigenvalue beyond tolerance")
 
@@ -512,7 +519,7 @@ def propagate_covariance(
 
 
 # ---------------------------------------------------------------------------
-# seeded parallel ensembles
+# seeded ensembles
 
 
 @dataclass(frozen=True)
@@ -552,20 +559,19 @@ def run_ensemble(
     checkpoints,
     base_seed: int,
     init=None,
-    jobs: int = 1,
 ) -> EnsembleResult:
     """Simulate N independent replicas and sample centered iterates at checkpoints.
 
-    Replica r draws from the stream keyed (base_seed, r); chunk layout is a
-    fixed constant so any jobs value reproduces identical bits.  Gaussian
-    replicas take one exact N(0, W'W) draw per segment: row r % NOISE_CHUNK
-    of the next (NOISE_CHUNK, d) block of standard normals from the
-    generator of chunk r // NOISE_CHUNK, keyed (1, chunk), a pure function of
-    (base_seed, r, segment partition), stable under growing K or adding
-    later checkpoints.  All N rows cross each segment in one pass, serially
-    at any jobs.  Rademacher replicas read the per-step draws keyed by
-    (base_seed, r), those of `simulate(..., base_seed, replica=r)`, one tile
-    at a time, and only they spread replica chunks over jobs threads.
+    Replica r draws from the stream keyed (base_seed, r); the chunk layout
+    is a fixed constant.  Gaussian replicas take one exact N(0, W'W) draw
+    per segment: row r % NOISE_CHUNK of the next (NOISE_CHUNK, d) block of
+    standard normals from the generator of chunk r // NOISE_CHUNK, keyed
+    (1, chunk), a pure function of (base_seed, r, segment partition),
+    stable under growing K or adding later checkpoints.  All N rows cross
+    each segment in one pass.  Rademacher replicas read the per-step draws
+    keyed by (base_seed, r), those of `simulate(..., base_seed,
+    replica=r)`: each noise tile's segments are composed once and every
+    replica chunk in turn crosses them, holding one chunk's tile at a time.
     Either way every replica crosses a noise tile before any starts the
     next, so a divergence names the earliest bad step of the ensemble and
     every replica that crossed at it.  Samples are stored by replica index,
@@ -605,25 +611,21 @@ def run_ensemble(
             W = _compose(M, Nk)[1]
             Q = np.linalg.qr(W)[0] if np.all(np.isfinite(W)) else None
 
-            def inputs(c, rows):
+            def inputs(replicas, rows):
                 # u = Q xi for W = QR gives W'u = R'xi exactly.  When W itself
-                # overflowed Q is undefined, and the chunk replays its per-step tile.
-                count = rows.stop - rows.start
-                if Q is None:
-                    t0 = a - a % block
-                    tile = _standard_tile(base_seed, c, a // block, d, "gaussian", count)
-                    return tile[:, (a - t0) * d : (b - t0) * d].reshape(count, b - a, -1)
-                return (U[rows] @ Q.T).reshape(count, b - a, -1)
+                # overflowed Q is undefined, and the chunk replays its per-step draws.
+                u = _step_reader(spec, base_seed, replicas)(a, b) if Q is None else U[rows] @ Q.T
+                return u.reshape(len(replicas), b - a, -1)
 
             # Chunk by chunk, so the per-step inputs stay one chunk's size:
             # each chunk's inputs live only for its own _replay call.
             bad = ~(np.abs(Z_b).max(axis=1) <= DIVERGENCE_CUTOFF)
             failed = []
-            for c, replicas in enumerate(chunks):
+            for replicas in chunks:
                 rows = slice(replicas.start, replicas.stop)
                 if bad[rows].any():
                     try:
-                        _replay(Z_a[rows], M, Nk, inputs(c, rows), a, replicas)
+                        _replay(Z_a[rows], M, Nk, inputs(replicas, rows), a, replicas)
                     except Diverged as exc:
                         # Without its traceback it no longer holds the chunk's inputs.
                         failed.append(exc.with_traceback(None))
@@ -637,41 +639,27 @@ def run_ensemble(
                 if b in cp_store:
                     cp_store[b][:] = Z @ T.T
     else:
-
-        def work(replicas: range, t0: int, segments) -> Diverged | None:
-            rows = slice(replicas.start, replicas.stop)
-            tile = _standard_tile(
-                base_seed, replicas.start // NOISE_CHUNK, t0 // block, d,
-                spec.noise.distribution, len(replicas),
-            )
-
-            def read(a, b):
-                return tile[:, (a - t0) * d : (b - t0) * d]
-
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    for b, Z_b in _advance(Z[rows], segments, read, maps, replicas):
-                        Z[rows] = Z_b
-                        if b in cp_store:
-                            cp_store[b][rows] = Z_b @ T.T
-                except Diverged as exc:
-                    return exc
-
-        def run_tiles(mapper) -> None:
+        # Unstable systems overflow to inf by design; the replay locates it.
+        with np.errstate(over="ignore", invalid="ignore"):
             for t0 in range(0, K, block):
-                # Unstable systems overflow to inf by design; the replay locates it.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    segments = list(_segments(maps, t0, min(K, t0 + block), block, cps))
-                failed = [e for e in mapper(functools.partial(work, t0=t0, segments=segments), chunks) if e]
+                segments = list(_segments(maps, t0, min(K, t0 + block), block, cps))
+                failed = []
+                for replicas in chunks:
+                    rows = slice(replicas.start, replicas.stop)
+                    read = _step_reader(spec, base_seed, replicas)
+                    try:
+                        for b, Z_b in _advance(Z[rows], segments, read, maps, replicas):
+                            Z[rows] = Z_b
+                            if b in cp_store:
+                                cp_store[b][rows] = Z_b @ T.T
+                    except Diverged as exc:
+                        # Without its traceback it no longer holds the chunk's tile.
+                        failed.append(exc.with_traceback(None))
+                    # Hold one chunk's tile at a time, and none while the next tile composes.
+                    del read
                 if failed:
                     raise _earliest(failed)
                 del segments  # free this tile's segments before composing the next
-
-        if jobs <= 1 or len(chunks) == 1:
-            run_tiles(map)
-        else:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-                run_tiles(pool.map)
 
     samples = [
         CheckpointSamples(c, pair.slow.value(c), pair.fast.value(c), X[:, :n], X[:, n:])

@@ -33,9 +33,6 @@ from twoscale import (
 )
 from twoscale.estimator import normality_check, scaled_covariances, standard_errors
 
-JOBS = 2
-
-
 def sys_a_spec(distribution: str = "gaussian") -> SystemSpec:
     return SystemSpec(
         A11=[[2.0]], A12=[[1.0]], A21=[[1.0]], A22=[[1.0]], b1=[1.0], b2=[2.0],
@@ -84,7 +81,7 @@ def test_criterion_2_running_average_recovery(tmp_path):
     config.write_text(json.dumps({"A": A.tolist(), "b": [0.0, 0.0], "Gamma": G.tolist()}))
     code = cli.main(
         ["averaging", "--config", str(config), "--replicas", "4000",
-         "--steps", "100000", "--seed", "0", "--jobs", str(JOBS)]
+         "--steps", "100000", "--seed", "0"]
     )
     assert code == 0
     report(
@@ -114,7 +111,7 @@ def test_criterion_4_monte_carlo_covariance():
     pair = pair_of((1.0, 1.0, 1.0), (1.0, 10.0, 0.7))
     pred = predict_full(spec, pair.beta_bar)
 
-    res = run_ensemble(spec, pair, 4000, 100000, [100000], base_seed=1, jobs=JOBS)
+    res = run_ensemble(spec, pair, 4000, 100000, [100000], base_seed=1)
     cp = res.final
     S11, _, S22 = scaled_covariances(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
     SE11, _, SE22 = standard_errors(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
@@ -171,7 +168,7 @@ def test_criterion_6_asymptotic_normality():
     passes = 0
     stats = []
     for seed in range(10):
-        res = run_ensemble(spec, pair, N, K, [K], base_seed=seed, jobs=JOBS)
+        res = run_ensemble(spec, pair, N, K, [K], base_seed=seed)
         cp = res.final
         rep = normality_check(cp.theta_hat, cp.beta, pred)
         passes += rep.passed
@@ -179,7 +176,7 @@ def test_criterion_6_asymptotic_normality():
     assert passes >= 9
 
     spec_r = sys_a_spec(distribution="scaled-rademacher")
-    res = run_ensemble(spec_r, pair, N, K, [K], base_seed=0, jobs=JOBS)
+    res = run_ensemble(spec_r, pair, N, K, [K], base_seed=0)
     cp = res.final
     rep_r = normality_check(cp.theta_hat, cp.beta, pred)
     assert rep_r.passed
@@ -210,7 +207,7 @@ def test_criterion_7_gain_optimality():
         assert min_eig >= -1e-8
 
     gained = gained_system(spec, G1_opt)
-    res = run_ensemble(gained, pair, 4000, 100000, [100000], base_seed=2, jobs=JOBS)
+    res = run_ensemble(gained, pair, 4000, 100000, [100000], base_seed=2)
     cp = res.final
     S11, _, _ = scaled_covariances(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
     SE11, _, _ = standard_errors(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)

@@ -519,8 +519,8 @@ class _Recorded(Exception):
 def test_run_sizes_default_to_parser_values(mc_config, tmp_path, monkeypatch):
     calls = []
 
-    def record(spec, pair, N, K, checkpoints, base_seed, jobs):
-        calls.append((N, K, base_seed, jobs, list(checkpoints)))
+    def record(spec, pair, N, K, checkpoints, base_seed):
+        calls.append((N, K, base_seed, list(checkpoints)))
         raise _Recorded
 
     monkeypatch.setattr(cli.engine, "run_ensemble", record)
@@ -530,7 +530,7 @@ def test_run_sizes_default_to_parser_values(mc_config, tmp_path, monkeypatch):
                  ["averaging", "--config", str(avg)]):
         with pytest.raises(_Recorded):
             cli.main(argv)
-    assert calls == [(1000, 10000, 0, 1, [100, 1000, 10000]), (4000, 100000, 0, 1, [100000])]
+    assert calls == [(1000, 10000, 0, [100, 1000, 10000]), (4000, 100000, 0, [100000])]
 
 
 def test_module_entry_point_runs_without_warnings(sys_a_config):
