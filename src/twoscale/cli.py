@@ -101,13 +101,20 @@ def _csv_lines(header: list[str], rows: Iterable[tuple]) -> list[str]:
     return lines
 
 
+class Unwritable(Exception):
+    """The --out path could not be written; main reports it apart from a bad configuration."""
+
+
 def _write_lines(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise Unwritable(exc) from exc
 
 
 def _validation_gate(cfg: RunConfig, advice: str = "") -> int | None:
@@ -409,6 +416,9 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         return handler(args)
+    except Unwritable as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read configuration: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -20,25 +20,26 @@ exact composition of its steps.  Step maps are built once per tile, as one
 fixed for the run, exact because each entry has one nonzero term, and
 sliced per segment.  Exact propagation updates the second moment as
 C <- P C P' + W'W.  Every simulated route goes through one driver,
-`_advance`, which moves a block of row states as Z <- Z P' + U W, U the
-rows' inputs over the segment: one row for `simulate` and for both phases
-of `simulate_transformed`, one replica chunk for a Rademacher ensemble,
-each read through `_step_reader`.  Every route runs in deviations from the
-fixed point x*, so the offset b never enters the kernel; `simulate` adds
-x* back to the states it records.  A Rademacher ensemble runs tile-major
-in one serial loop: it composes one noise tile's segments, moves every
-chunk through them in turn, and drops them before the next tile, so its
-memory is flat in K.  A segment that ends beyond the divergence cutoff is
-replayed one step at a time from its rebuilt per-step maps to report the
-first bad step and the replicas that crossed it.  Exact propagation
-replays a segment whose moment passes the cutoff squared the same way.
+`_advance`, which moves a block of row states as Z <- Z P' + V, V the
+rows' noise term over the segment; only the plan that yields V differs.
+A single trajectory (`simulate`, both phases of `simulate_transformed`)
+is one row with V = U W, U its inputs read through `_step_reader`; an
+ensemble moves all N rows at once.  Every route runs in deviations from
+the fixed point x*, so the offset b never enters the kernel; `simulate`
+adds x* back to the states it records.  A Rademacher ensemble composes one
+noise tile's segments, fills their V one replica chunk at a time with the
+chunk's U W, and drops them before the next tile, so its memory is flat
+in K.  A segment that ends beyond the divergence cutoff is replayed one
+step at a time from its rebuilt per-step maps, in each chunk with a row
+past the cutoff, to report the first bad step and the replicas that
+crossed it.  Exact propagation replays a segment whose moment passes the
+cutoff squared the same way.
 
 Gaussian ensembles aggregate each segment's noise: for Gaussian u the term
 W'u is exactly N(0, W'W), and so is R'xi for the triangular factor R of
 W = QR (R'R = W'W, also when Gamma is singular) and d standard normals xi.
-`run_ensemble` therefore advances Gaussian replicas as Z <- Z P' + xi R,
-d draws per replica per segment instead of L d, all N rows in one pass per
-segment.  A diverging segment is replayed one replica chunk at a time with
+`run_ensemble` therefore takes V = xi R for Gaussian replicas, d draws per
+replica per segment instead of L d.  A diverging segment is replayed with
 the per-step inputs u = Q xi, which give W'u = R'xi exactly; when W itself
 overflowed, Q is undefined and the replay reads the per-step stream's draws
 instead.  Every other route draws per step and stays the pathwise
@@ -276,26 +277,30 @@ def _replay_moment(C, M, N, a: int) -> None:
     raise MomentDiverged(a + len(M))
 
 
-def _advance(Z: np.ndarray, plan, read, maps, replicas=None, replay=None):
+def _advance(Z: np.ndarray, plan, locate):
     """Advance row states Z through the segments of plan, yielding (b, Z_b) after each.
 
-    plan yields (a, b, P, W); read(a, b) returns the rows' inputs U for
-    steps [a, b), one row per state.  A segment that ends beyond the
-    divergence cutoff raises Diverged with the first bad step and, when
-    replicas names the rows, the replicas that crossed it: replay(a, b, Z_a,
-    U, Z_b) locates it if given, else the segment is replayed from its
-    rebuilt maps(a, b) with U read as per-step inputs.
+    plan yields (a, b, P, V) with Z_b = Z_a P' + V, V the rows' noise term
+    over steps [a, b).  A segment that ends beyond the divergence cutoff
+    calls locate(a, b, Z_a, Z_b), which raises Diverged at the first bad step.
     """
-    for a, b, P, W in plan:
-        U = read(a, b)
-        Z_next = Z @ P.T + U @ W
+    for a, b, P, V in plan:
+        Z_next = Z @ P.T + V
         # NaN compares false, so it fails the test like inf does.
         if not float(np.abs(Z_next).max()) <= DIVERGENCE_CUTOFF:
-            if replay is not None:
-                replay(a, b, Z, U, Z_next)
-            _replay(Z, *maps(a, b), U.reshape(len(Z), b - a, -1), a, replicas)
+            locate(a, b, Z, Z_next)
         Z = Z_next
         yield b, Z
+
+
+def _trajectory(z: np.ndarray, segments, maps, read):
+    """`_advance` for the one row z with V = read(a, b) @ W, replayed from maps(a, b)."""
+    plan = ((a, b, P, read(a, b) @ W) for a, b, P, W in segments)
+
+    def locate(a, b, Z_a, Z_b):
+        _replay(Z_a, *maps(a, b), read(a, b).reshape(1, b - a, -1), a)
+
+    return _advance(z, plan, locate)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +357,7 @@ def simulate(
     plan = _segments(maps, 0, K, noise_block_steps(n + spec.m), edges)
     # Unstable systems overflow the composed maps; the replay reports where.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, Z in itertools.chain([(0, z0)], _advance(z0, plan, read, maps)):
+        for k, Z in itertools.chain([(0, z0)], _trajectory(z0, plan, maps, read)):
             if k % record_stride == 0 or k == K:
                 x = Z[0] + x_star
                 states.append(TrajectoryState(k, x[:n], x[n:]))
@@ -432,13 +437,13 @@ def simulate_transformed(
         return M, N
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, Z in _advance(Z, _segments(original, 0, k0, block, ()), read, original):
+        for _, Z in _trajectory(Z, _segments(original, 0, k0, block, ()), original, read):
             pass
         x = T @ Z[0]
         states = [TransformedState(k0, x[:n], x[n:])]
         edges = range(record_stride * (k0 // record_stride + 1), K, record_stride)
         plan = _segments(decoupled, k0, K, block, edges)
-        for k, X in _advance(x[None], plan, read, decoupled):
+        for k, X in _trajectory(x[None], plan, decoupled, read):
             if k % record_stride == 0 or k == K:
                 states.append(TransformedState(k, X[0, :n], X[0, n:]))
     return TransformedRun(k0=k0, states=states, lseq=lseq)
@@ -567,15 +572,15 @@ def run_ensemble(
     per segment: row r % NOISE_CHUNK of the next (NOISE_CHUNK, d) block of
     standard normals from the generator of chunk r // NOISE_CHUNK, keyed
     (1, chunk), a pure function of (base_seed, r, segment partition),
-    stable under growing K or adding later checkpoints.  All N rows cross
-    each segment in one pass.  Rademacher replicas read the per-step draws
-    keyed by (base_seed, r), those of `simulate(..., base_seed,
-    replica=r)`: each noise tile's segments are composed once and every
-    replica chunk in turn crosses them, holding one chunk's tile at a time.
-    Either way every replica crosses a noise tile before any starts the
-    next, so a divergence names the earliest bad step of the ensemble and
-    every replica that crossed at it.  Samples are stored by replica index,
-    making downstream statistics order-independent.
+    stable under growing K or adding later checkpoints.  Rademacher
+    replicas read the per-step draws keyed by (base_seed, r), those of
+    `simulate(..., base_seed, replica=r)`: each noise tile's segments are
+    composed once, and each replica chunk in turn fills its rows of every
+    segment's noise term, holding one chunk's tile at a time.  Under either
+    law all N rows cross each segment in one pass, so a divergence names the
+    earliest bad step of the ensemble and every replica that crossed at it.
+    Samples are stored by replica index, making downstream statistics
+    order-independent.
     """
     if N < 2:
         raise ValueError("ensemble needs at least 2 replicas")
@@ -595,71 +600,55 @@ def run_ensemble(
     if 0 in cp_store:
         cp_store[0][:] = Z @ T.T
     chunks = [range(i, min(i + NOISE_CHUNK, N)) for i in range(0, N, NOISE_CHUNK)]
+    gaussian = spec.noise.distribution == "gaussian"
+    xi = np.empty((len(chunks), NOISE_CHUNK, d))
+    drawn = xi.reshape(-1, d)[:N]
 
-    if spec.noise.distribution == "gaussian":
+    def gaussian_plan():
         gens = [_generator(base_seed, 1, c) for c in range(len(chunks))]
-        xi = np.empty((len(chunks) * NOISE_CHUNK, d))
-        blocks = list(xi.reshape(len(chunks), NOISE_CHUNK, d))
-
-        def draw(a, b):
-            for gen, out in zip(gens, blocks):
+        for a, b, P, W in _segments(maps, 0, K, block, cps):
+            for gen, out in zip(gens, xi):
                 gen.standard_normal(out=out)
-            return xi[:N]
+            yield a, b, P, drawn @ np.linalg.qr(W, mode="r")
 
-        def replay(a, b, Z_a, U, Z_b):
-            M, Nk = maps(a, b)
-            W = _compose(M, Nk)[1]
-            Q = np.linalg.qr(W)[0] if np.all(np.isfinite(W)) else None
-
-            def inputs(replicas, rows):
-                # u = Q xi for W = QR gives W'u = R'xi exactly.  When W itself
-                # overflowed Q is undefined, and the chunk replays its per-step draws.
-                u = _step_reader(spec, base_seed, replicas)(a, b) if Q is None else U[rows] @ Q.T
-                return u.reshape(len(replicas), b - a, -1)
-
-            # Chunk by chunk, so the per-step inputs stay one chunk's size:
-            # each chunk's inputs live only for its own _replay call.
-            bad = ~(np.abs(Z_b).max(axis=1) <= DIVERGENCE_CUTOFF)
-            failed = []
+    def rademacher_plan():
+        for t0 in range(0, K, block):
+            segments = list(_segments(maps, t0, min(K, t0 + block), block, cps))
+            V = np.empty((len(segments), N, d))
             for replicas in chunks:
-                rows = slice(replicas.start, replicas.stop)
-                if bad[rows].any():
-                    try:
-                        _replay(Z_a[rows], M, Nk, inputs(replicas, rows), a, replicas)
-                    except Diverged as exc:
-                        # Without its traceback it no longer holds the chunk's inputs.
-                        failed.append(exc.with_traceback(None))
-            raise _earliest(failed)
+                read = _step_reader(spec, base_seed, replicas)
+                for (a, b, _, W), v in zip(segments, V):
+                    v[replicas] = read(a, b) @ W
+                del read  # hold one chunk's tile at a time
+            for (a, b, P, _), v in zip(segments, V):
+                yield a, b, P, v
+            del segments, V  # free this tile's maps and noise terms before the next
 
-        segments = _segments(maps, 0, K, block, cps)
-        plan = ((a, b, P, np.linalg.qr(W, mode="r")) for a, b, P, W in segments)
-        # Unstable systems overflow to inf by design; the replay locates it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for b, Z in _advance(Z, plan, draw, maps, replay=replay):
-                if b in cp_store:
-                    cp_store[b][:] = Z @ T.T
-    else:
-        # Unstable systems overflow to inf by design; the replay locates it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t0 in range(0, K, block):
-                segments = list(_segments(maps, t0, min(K, t0 + block), block, cps))
-                failed = []
-                for replicas in chunks:
-                    rows = slice(replicas.start, replicas.stop)
-                    read = _step_reader(spec, base_seed, replicas)
-                    try:
-                        for b, Z_b in _advance(Z[rows], segments, read, maps, replicas):
-                            Z[rows] = Z_b
-                            if b in cp_store:
-                                cp_store[b][rows] = Z_b @ T.T
-                    except Diverged as exc:
-                        # Without its traceback it no longer holds the chunk's tile.
-                        failed.append(exc.with_traceback(None))
-                    # Hold one chunk's tile at a time, and none while the next tile composes.
-                    del read
-                if failed:
-                    raise _earliest(failed)
-                del segments  # free this tile's segments before composing the next
+    def locate(a, b, Z_a, Z_b):
+        M, Nk = maps(a, b)
+        W = _compose(M, Nk)[1]
+        # u = Q xi for W = QR gives the drawn W'u = R'xi exactly.  If W itself
+        # overflowed, Q is undefined and Gaussian chunks read per-step draws too.
+        Q = np.linalg.qr(W)[0] if gaussian and np.all(np.isfinite(W)) else None
+        bad = ~(np.abs(Z_b).max(axis=1) <= DIVERGENCE_CUTOFF)
+        failed = []
+        for replicas in chunks:
+            if bad[replicas].any():
+                U = _step_reader(spec, base_seed, replicas)(a, b) if Q is None else drawn[replicas] @ Q.T
+                try:
+                    _replay(Z_a[replicas], M, Nk, U.reshape(len(replicas), b - a, -1), a, replicas)
+                except Diverged as exc:
+                    # Without its traceback it no longer holds the chunk's inputs.
+                    failed.append(exc.with_traceback(None))
+                del U  # hold one chunk's inputs at a time
+        raise _earliest(failed)
+
+    plan = gaussian_plan() if gaussian else rademacher_plan()
+    # Unstable systems overflow to inf by design; the locator finds where.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, Z in _advance(Z, plan, locate):
+            if b in cp_store:
+                cp_store[b][:] = Z @ T.T
 
     samples = [
         CheckpointSamples(c, pair.slow.value(c), pair.fast.value(c), X[:, :n], X[:, n:])

@@ -192,6 +192,19 @@ def test_missing_file_exits_1(tmp_path):
     assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["predict"], ["run", "--mode", "propagate", "--steps", "1000"]],
+    ids=["predict", "run"],
+)
+def test_unwritable_out_exits_1_naming_the_output(sys_a_config, tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main([*argv, "--config", sys_a_config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and "x.csv" in err
+    assert "configuration" not in err
+
+
 def test_missing_key_exits_1(tmp_path):
     doc = dict(SYS_A_DOC)
     del doc["A11"]

@@ -803,13 +803,15 @@ def test_divergence_step_agrees_across_routes():
         )
         assert transformed == steps[0]
     # At N = 200 the earliest crossing is shared by replicas of several
-    # chunks; the ensemble must name all of them.
+    # chunks; the ensemble must name all of them, also when checkpoints cut
+    # the noise tile into 50 segments.
     for N in (8, 200):
         first = min(steps[:N])
-        with pytest.raises(Diverged) as info:
-            run_ensemble(spec, pair, N, K, [K], base_seed=0)
-        assert info.value.step == first
-        assert info.value.replicas == [r for r in range(N) if steps[r] == first]
+        for cps in ([K], range(10, K + 1, 10)):
+            with pytest.raises(Diverged) as info:
+                run_ensemble(spec, pair, N, K, cps, base_seed=0)
+            assert info.value.step == first
+            assert info.value.replicas == [r for r in range(N) if steps[r] == first]
 
 
 def test_divergence_step_matches_oracle_loop():
@@ -891,9 +893,10 @@ def _route_states(route):
 
 # sha256 of every state's little-endian float64 bytes on one small run per
 # route: propagation of system A and of a d = 6 system to K = 1e5, a d = 4
-# trajectory over K = 5000 and a d = 6 scaled-Rademacher ensemble (N = 128,
-# K = 2000).  They pin the bits of the whole segment kernel, so a rewrite of
-# the step maps or of the composition must keep them.  The kernel's products
+# trajectory over K = 5000, and d = 6 ensembles over K = 2000, one
+# scaled-Rademacher (N = 128) and one Gaussian (N = 4096).  They pin the
+# bits of the whole segment kernel, so a rewrite of the step maps, of the
+# composition or of the ensemble plans must keep them.  The kernel's products
 # run in the linked BLAS, whose rounding can depend on its build and on its
 # thread count (OpenBLAS splits the ensemble's (64, 4092) x (4092, 6)
 # product differently on two threads), so the runs happen in a child with
@@ -901,6 +904,7 @@ def _route_states(route):
 # numpy 2.4.6.
 ROUTE_GOLDEN = {
     "ensemble": "3e92dbd1c45bc7d8a1ba02241dced670ca94be5b057e91acd60b526faae33213",
+    "gaussian-ensemble": "ae3bf3353383c74044bd1a1bcc3679e3bba36366ec17a21e24c06997ab05b5d1",
     "propagate": "fee821053e65e9c64fb72f2a5a0c6612597bdec78b5a28bd227dd7d14daa25ca",
     "simulate": "96645810443a62b366dee7913630006bc12c2e6f73e3de20c4d3e72f937ae068",
 }
@@ -925,7 +929,7 @@ def _child_digests(routes, threads: int) -> dict:
 
 @pytest.fixture(scope="module")
 def route_digests():
-    return _child_digests([*ROUTE_GOLDEN, "gaussian-ensemble"], threads=1)
+    return _child_digests(list(ROUTE_GOLDEN), threads=1)
 
 
 @pytest.mark.parametrize("route", sorted(ROUTE_GOLDEN))
@@ -933,19 +937,18 @@ def test_route_states_golden_digest(route_digests, route):
     assert route_digests[route] == ROUTE_GOLDEN[route]
 
 
-def test_route_states_do_not_depend_on_blas_thread_count(route_digests):
+def test_route_states_do_not_depend_on_blas_thread_count():
     # Propagation, single trajectories and Gaussian ensembles keep their bits
     # on two BLAS threads.  Scaled-Rademacher ensembles are left out: their
     # (64, L d) x (L d, d) input product sums in a thread-dependent order at
     # some d (d = 6 among them).
     two = _child_digests(["propagate", "simulate", "gaussian-ensemble"], threads=2)
-    assert two == {r: route_digests[r] for r in two}
-    assert two["propagate"] == ROUTE_GOLDEN["propagate"]
-    assert two["simulate"] == ROUTE_GOLDEN["simulate"]
+    assert two == {r: ROUTE_GOLDEN[r] for r in two}
 
 
-def test_ensemble_memory_does_not_grow_with_steps(mc_pair):
-    spec = random_stable_system(np.random.default_rng(3), n=3, m=3)
+@pytest.mark.parametrize("distribution", ["gaussian", "scaled-rademacher"])
+def test_ensemble_memory_does_not_grow_with_steps(mc_pair, distribution):
+    spec = random_stable_system(np.random.default_rng(3), n=3, m=3, distribution=distribution)
 
     def peak_bytes(K):
         tracemalloc.start()
