@@ -18,7 +18,9 @@ Run parameters are command-line flags, each default declared once in
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -103,6 +105,24 @@ def _csv_lines(header: list[str], rows: Iterable[tuple]) -> list[str]:
 
 class Unwritable(Exception):
     """The --out path could not be written; main reports it apart from a bad configuration."""
+
+
+def _check_writable(out: str | None) -> None:
+    """Raise Unwritable now if --out cannot be written, so a bad path costs no run.
+
+    Checks that the directory of out exists and that out, or its directory
+    when out does not exist yet, is writable; creates nothing.
+    """
+    if not out:
+        return
+    folder = os.path.dirname(out) or os.curdir
+    if not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif not os.access(out if os.path.exists(out) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise Unwritable(OSError(code, os.strerror(code), out))
 
 
 def _write_lines(lines: list[str], out: str | None) -> None:
@@ -415,6 +435,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
+        _check_writable(getattr(args, "out", None))
         return handler(args)
     except Unwritable as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)

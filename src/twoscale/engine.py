@@ -28,12 +28,12 @@ ensemble moves all N rows at once.  Every route runs in deviations from
 the fixed point x*, so the offset b never enters the kernel; `simulate`
 adds x* back to the states it records.  A Rademacher ensemble composes one
 noise tile's segments, fills their V one replica chunk at a time with the
-chunk's U W, and drops them before the next tile, so its memory is flat
-in K.  A segment that ends beyond the divergence cutoff is replayed one
-step at a time from its rebuilt per-step maps, in each chunk with a row
-past the cutoff, to report the first bad step and the replicas that
-crossed it.  Exact propagation replays a segment whose moment passes the
-cutoff squared the same way.
+chunk's U W, summed over column blocks (below), and drops them before the
+next tile, so its memory is flat in K.  A segment that ends beyond the
+divergence cutoff is replayed one step at a time from its rebuilt per-step
+maps, in each chunk with a row past the cutoff, to report the first bad
+step and the replicas that crossed it.  Exact propagation replays a segment
+whose moment passes the cutoff squared the same way.
 
 Gaussian ensembles aggregate each segment's noise: for Gaussian u the term
 W'u is exactly N(0, W'W), and so is R'xi for the triangular factor R of
@@ -81,6 +81,16 @@ the checkpoints and K, so a replica's state at checkpoint c depends only
 on the segments that end at or before c: it is unchanged when K grows or
 checkpoints above c are added, and it does not depend on N.
 
+A Rademacher ensemble's noise term V = U W over a segment sums its L d
+input columns in a fixed order: blocks of NOISE_SUM_COLS columns from the
+segment's first column, V = U[:, 0:512] W[0:512] + U[:, 512:1024]
+W[512:1024] + ..., each block one BLAS product, added in column order.
+The rule is part of the contract, like the layout: a new block width or
+order changes the ensemble's bits by about 1e-16 relative.  No product runs
+over more than NOISE_SUM_COLS terms; on OpenBLAS 0.3.31 that gave the same
+bytes at 1 and 2 threads for d = 2, 6, 10 and 20, which is observed on that
+build, not guaranteed.
+
 Both kinds of draws replay exactly.
 """
 
@@ -100,6 +110,7 @@ from .schedules import SchedulePair
 from .theory import LSequence, l_sequence
 
 NOISE_CHUNK = 64  # replicas per noise tile
+NOISE_SUM_COLS = 512  # input columns per block of a Rademacher segment's noise-term sum
 
 
 def noise_block_steps(dim: int) -> int:
@@ -251,6 +262,25 @@ def _segments(maps, start: int, stop: int, block: int, edges):
         for a, b in zip(bounds[:-1], bounds[1:]):
             yield (a, b, *_compose(M[a - t0 : b - t0], N[a - t0 : b - t0]))
         t0 = t1
+
+
+def _blocked_product(U: np.ndarray, W: np.ndarray, out: np.ndarray) -> None:
+    """out = U @ W, summed in order over blocks of NOISE_SUM_COLS columns of U from the first.
+
+    Each block's product is small enough for BLAS to keep in cache, and no
+    product's sum runs over more than NOISE_SUM_COLS terms.  The whole
+    blocks go through one stacked matmul, one BLAS product per block, whose
+    results add.reduce adds in block order; a partial last block comes last.
+    """
+    rows, cols = U.shape
+    head = cols - cols % NOISE_SUM_COLS  # the columns of whole blocks
+    if not head:
+        np.matmul(U, W, out=out)
+        return
+    blocks = U[:, :head].reshape(rows, -1, NOISE_SUM_COLS).transpose(1, 0, 2)
+    np.add.reduce(blocks @ W[:head].reshape(len(blocks), NOISE_SUM_COLS, -1), axis=0, out=out)
+    if head < cols:
+        out += U[:, head:] @ W[head:]
 
 
 def _replay(Z, M, N, U, a: int, replicas=None) -> None:
@@ -576,7 +606,8 @@ def run_ensemble(
     replicas read the per-step draws keyed by (base_seed, r), those of
     `simulate(..., base_seed, replica=r)`: each noise tile's segments are
     composed once, and each replica chunk in turn fills its rows of every
-    segment's noise term, holding one chunk's tile at a time.  Under either
+    segment's noise term, summed over blocks of NOISE_SUM_COLS input
+    columns in order, holding one chunk's tile at a time.  Under either
     law all N rows cross each segment in one pass, so a divergence names the
     earliest bad step of the ensemble and every replica that crossed at it.
     Samples are stored by replica index, making downstream statistics
@@ -618,7 +649,7 @@ def run_ensemble(
             for replicas in chunks:
                 read = _step_reader(spec, base_seed, replicas)
                 for (a, b, _, W), v in zip(segments, V):
-                    v[replicas] = read(a, b) @ W
+                    _blocked_product(read(a, b), W, v[replicas.start : replicas.stop])
                 del read  # hold one chunk's tile at a time
             for (a, b, P, _), v in zip(segments, V):
                 yield a, b, P, v

@@ -62,7 +62,7 @@ def mc_config(tmp_path):
 
 @pytest.fixture
 def mc_rademacher_config(tmp_path):
-    # Per-step noise: the ensemble route that runs its chunks on a thread pool.
+    # Per-step noise: the ensemble route that reads each chunk's per-step tiles.
     doc = dict(SYS_A_DOC)
     doc["beta"] = {"base": 1.0, "tau": 1.0, "alpha": 1.0}
     doc["noise"] = dict(SYS_A_DOC["noise"], distribution="scaled-rademacher")
@@ -192,17 +192,52 @@ def test_missing_file_exits_1(tmp_path):
     assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("work started before --out was checked")
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["predict"], ["run", "--mode", "propagate", "--steps", "1000"]],
-    ids=["predict", "run"],
+    "argv, parent",
+    [
+        (["predict"], "missing"),
+        (["run", "--mode", "propagate", "--steps", "1000"], "missing"),
+        (["run", "--mode", "ensemble"], "missing"),
+        (["run", "--mode", "normality"], "missing"),
+        (["run", "--mode", "transformed-check"], "missing"),
+        (["predict"], "file"),
+        (["run", "--mode", "propagate"], "file"),
+    ],
+    ids=["predict", "run", "ensemble", "normality", "transformed-check", "predict-under-a-file",
+         "run-under-a-file"],
 )
-def test_unwritable_out_exits_1_naming_the_output(sys_a_config, tmp_path, capsys, argv):
-    out = tmp_path / "missing" / "x.csv"
+def test_unwritable_out_exits_1_naming_the_output(
+    sys_a_config, tmp_path, capsys, monkeypatch, argv, parent
+):
+    # A bad --out is refused before any work: the solver and engine fail if called.
+    for module, name in [
+        (cli.theory, "predict_full"),
+        (cli.engine, "propagate_covariance"),
+        (cli.engine, "run_ensemble"),
+        (cli.engine, "simulate"),
+        (cli, "validate_system"),
+    ]:
+        monkeypatch.setattr(module, name, _fail_if_called)
+    if parent == "file":
+        (tmp_path / parent).write_text("")
+    out = tmp_path / parent / "x.csv"
+    before = sorted(tmp_path.rglob("*"))
     assert cli.main([*argv, "--config", sys_a_config, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("cannot write output: ") and "x.csv" in err
     assert "configuration" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_out_that_is_a_directory_exits_1_after_the_run(sys_a_config, tmp_path, capsys):
+    # Passes the early check (its folder is writable); opening it fails at the end.
+    argv = ["run", "--mode", "propagate", "--steps", "1000", "--config", sys_a_config]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("cannot write output: ")
 
 
 def test_missing_key_exits_1(tmp_path):

@@ -721,6 +721,28 @@ def test_suffix_products_match_naive_loop(L):
         assert np.linalg.norm(S[j] - R) <= 1e-12 * np.linalg.norm(R)
 
 
+@pytest.mark.parametrize("cols", [1, 511, 512, 513, 4092, 5120])
+@pytest.mark.parametrize("d", [2, 6, 20])
+def test_blocked_product_equals_the_full_product(d, cols):
+    rng = np.random.default_rng(100 * cols + d)
+    # A column window of a wider tile, as a segment reads it.
+    U = (1.0 - 2.0 * rng.integers(0, 2, (NOISE_CHUNK, cols + 8)))[:, 3 : 3 + cols]
+    out = np.empty((NOISE_CHUNK, d))
+    # Integer W: every partial sum is an integer below 2^53, so exact in any order.
+    W = rng.integers(-1000, 1001, (cols, d)).astype(np.float64)
+    engine._blocked_product(U, W, out)
+    assert np.array_equal(out, U @ W)
+    W = rng.standard_normal((cols, d))
+    engine._blocked_product(U, W, out)
+    assert np.all(np.abs(out - U @ W) <= 1e-13 * (np.abs(U) @ np.abs(W)))
+    # The summation order, written out: one product per block, added in order.
+    step = engine.NOISE_SUM_COLS
+    in_order = U[:, :step] @ W[:step]
+    for j in range(step, cols, step):
+        in_order += U[:, j : j + step] @ W[j : j + step]
+    assert out.tobytes() == in_order.tobytes()
+
+
 @pytest.mark.parametrize("n, m", [(1, 3), (3, 1), (2, 2)])
 @pytest.mark.parametrize("case", ["generic", "zeros", "underflow"])
 def test_step_maps_equal_the_entrywise_products_bit_for_bit(n, m, case):
@@ -896,14 +918,14 @@ def _route_states(route):
 # trajectory over K = 5000, and d = 6 ensembles over K = 2000, one
 # scaled-Rademacher (N = 128) and one Gaussian (N = 4096).  They pin the
 # bits of the whole segment kernel, so a rewrite of the step maps, of the
-# composition or of the ensemble plans must keep them.  The kernel's products
-# run in the linked BLAS, whose rounding can depend on its build and on its
-# thread count (OpenBLAS splits the ensemble's (64, 4092) x (4092, 6)
-# product differently on two threads), so the runs happen in a child with
-# BLAS pinned to one thread; these are the digests of OpenBLAS 0.3.31 under
-# numpy 2.4.6.
+# composition or of the ensemble plans must keep them.  The Rademacher digest
+# is that of noise terms summed over 512-column blocks from each segment's
+# first column.  The kernel's products run in the linked BLAS, whose rounding
+# can depend on its build and on its thread count, so the runs happen in a
+# child with BLAS pinned to one thread; these are the digests of OpenBLAS
+# 0.3.31 under numpy 2.4.6.
 ROUTE_GOLDEN = {
-    "ensemble": "3e92dbd1c45bc7d8a1ba02241dced670ca94be5b057e91acd60b526faae33213",
+    "ensemble": "c25022fffcb45852d1c7a86d0939f49f449760798d6e73a68001a90ce4125935",
     "gaussian-ensemble": "ae3bf3353383c74044bd1a1bcc3679e3bba36366ec17a21e24c06997ab05b5d1",
     "propagate": "fee821053e65e9c64fb72f2a5a0c6612597bdec78b5a28bd227dd7d14daa25ca",
     "simulate": "96645810443a62b366dee7913630006bc12c2e6f73e3de20c4d3e72f937ae068",
@@ -938,11 +960,7 @@ def test_route_states_golden_digest(route_digests, route):
 
 
 def test_route_states_do_not_depend_on_blas_thread_count():
-    # Propagation, single trajectories and Gaussian ensembles keep their bits
-    # on two BLAS threads.  Scaled-Rademacher ensembles are left out: their
-    # (64, L d) x (L d, d) input product sums in a thread-dependent order at
-    # some d (d = 6 among them).
-    two = _child_digests(["propagate", "simulate", "gaussian-ensemble"], threads=2)
+    two = _child_digests(list(ROUTE_GOLDEN), threads=2)
     assert two == {r: ROUTE_GOLDEN[r] for r in two}
 
 
