@@ -3,7 +3,8 @@
 Exit codes form a stable contract:
 
     0  success / all tolerances met
-    1  unreadable or malformed configuration, or a flag below its floor
+    1  unreadable or malformed configuration, unwritable --out, or any
+       command-line error, refused before the configuration is read
     2  assumption failure, tolerance failure, or divergence
     3  internal inconsistency (independent solution routes disagree)
 
@@ -161,25 +162,27 @@ def _require_two_time_scales(cfg: RunConfig) -> None:
         raise AssumptionViolation(["time-scale-separation"])
 
 
-# The lowest value of each size flag and the engine parameter it sets.
-_FLAG_FLOORS = {
-    "replicas": ("N", 2),
-    "steps": ("K", 1),
-    "seed": ("base_seed", 0),
-    "jobs": ("jobs", 1),  # sets none: accepted, checked and ignored
-    "stride": ("record_stride", 1),
-}
+def _at_least(low: int, param: str):
+    """Flag type: an integer no lower than low, the floor of the engine parameter param."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text}: {param} must be an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value}: {param} must be at least {low}")
+        return value
+    return parse
 
 
-def _invalid_flag(args, names: str) -> int | None:
-    """Print which of the named flags is below its floor and return exit 1, else None."""
-    for name in names.split():
-        value = getattr(args, name)
-        param, low = _FLAG_FLOORS[name]
-        if value is not None and value < low:
-            print(f"invalid flag: --{name} {value}: {param} must be at least {low}", file=sys.stderr)
-            return EXIT_IO
-    return None
+class _Parser(argparse.ArgumentParser):
+    """Raises every command-line error as ArgumentError; subparsers share the class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(exit_on_error=False, **kwargs)
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
 
 def cmd_validate(args) -> int:
@@ -312,6 +315,7 @@ def _run_transformed_check(cfg: RunConfig, args) -> int:
     rebuilt = engine.reconstruct_original(cfg.system, run)
     by_k = {st.k: st for st in states}
     worst = 0.0
+    errors = []
     for st in rebuilt:
         ref = by_k.get(st.k)
         if ref is None:
@@ -320,6 +324,9 @@ def _run_transformed_check(cfg: RunConfig, args) -> int:
         new_vec = np.concatenate([st.theta, st.r])
         err = float(np.linalg.norm(new_vec - ref_vec) / (1.0 + np.linalg.norm(ref_vec)))
         worst = max(worst, err)
+        errors.append((st.k, err))
+    if args.out:
+        _write_lines(_csv_lines(["k", "relative_error"], errors), args.out)
     print(f"max relative reconstruction error over {len(rebuilt)} recorded states: {worst:.3e}")
     print(
         f"decoupling start index: {run.k0} after {run.lseq.retries} retries; "
@@ -328,20 +335,15 @@ def _run_transformed_check(cfg: RunConfig, args) -> int:
     return EXIT_OK if worst <= TRANSFORMED_TOL else EXIT_TOLERANCE
 
 
-# Each mode and the size flags it reads.
 _MODES = {
-    "propagate": (_run_propagate, "steps"),
-    "ensemble": (_run_ensemble, "replicas steps seed jobs"),
-    "normality": (_run_normality, "replicas steps seed jobs"),
-    "transformed-check": (_run_transformed_check, "steps seed stride"),
+    "propagate": _run_propagate,
+    "ensemble": _run_ensemble,
+    "normality": _run_normality,
+    "transformed-check": _run_transformed_check,
 }
 
 
 def cmd_run(args) -> int:
-    run, flags = _MODES[args.mode]
-    bad = _invalid_flag(args, flags)
-    if bad is not None:
-        return bad
     cfg = load_config(args.config)
     if not args.skip_validate:
         gate = _validation_gate(cfg, "; rerun with --skip-validate to force")
@@ -349,13 +351,10 @@ def cmd_run(args) -> int:
             return gate
     if args.mode != "transformed-check":
         _require_two_time_scales(cfg)
-    return run(cfg, args)
+    return _MODES[args.mode](cfg, args)
 
 
 def cmd_averaging(args) -> int:
-    bad = _invalid_flag(args, "replicas steps seed jobs")
-    if bad is not None:
-        return bad
     doc = _read_object(args.config)
     reject_unknown_keys(doc, ("A", "b", "Gamma"), "averaging configuration")
     A = np.asarray(doc["A"], dtype=np.float64)
@@ -387,7 +386,7 @@ def cmd_averaging(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twoscale",
         description="Predict and validate scaled covariances of coupled slow/fast linear iterations",
     )
@@ -400,18 +399,20 @@ def build_parser() -> argparse.ArgumentParser:
             "averaging", help='running-average recovery demonstration (config: "A", "b", "Gamma")'
         ),
     }
-    # Each flag goes to the subcommands that read it.
-    int_flag = dict(type=int, help="default: %(default)s")
+    # Each flag goes to the subcommands that read it; a size flag's type holds its floor.
+    def sized(low, param, default, note=""):
+        return dict(type=_at_least(low, param), default=default, help=f"{note}default: %(default)s")
+
     flags = [
         ("validate predict run averaging", ["--config"],
          dict(required=True, help="JSON configuration path")),
         ("run", ["--mode"], dict(choices=list(_MODES), required=True)),
-        ("run averaging", ["--replicas", "-N"], dict(int_flag, default=1000)),
-        ("run averaging", ["--steps", "-K"], dict(int_flag, default=10000)),
-        ("run averaging", ["--seed"], dict(int_flag, default=0)),
-        ("run averaging", ["--jobs"],
-         dict(int_flag, default=1, help="accepted and ignored; default: %(default)s")),
-        ("run", ["--stride"], dict(type=int, help="default: steps // 100")),
+        ("run averaging", ["--replicas", "-N"], sized(2, "N", 1000)),
+        ("run averaging", ["--steps", "-K"], sized(1, "K", 10000)),
+        ("run averaging", ["--seed"], sized(0, "base_seed", 0)),
+        ("run averaging", ["--jobs"], sized(1, "jobs", 1, "accepted and ignored; ")),
+        ("run", ["--stride"],
+         dict(type=_at_least(1, "record_stride"), help="default: steps // 100")),
         ("predict run", ["--out"], dict(help="output CSV path (default stdout)")),
         ("run", ["--skip-validate"], dict(action="store_true")),
     ]
@@ -431,8 +432,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        name = exc.argument_name.split("/")[0] + " " if exc.argument_name else ""
+        print(f"invalid flag: {name}{exc.message}", file=sys.stderr)
+        return EXIT_IO
     handler = _COMMANDS[args.command]
     try:
         _check_writable(getattr(args, "out", None))

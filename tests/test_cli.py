@@ -421,6 +421,27 @@ def test_run_transformed_check(sys_a_config):
     assert code == 0
 
 
+def test_run_transformed_check_writes_errors_to_out(sys_a_config, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", "--config", sys_a_config, "--mode", "transformed-check", "--steps", "2000"]
+    assert cli.main(argv) == 0
+    assert sorted(os.listdir(tmp_path)) == ["sys_a.json"]
+    printed = capsys.readouterr().out
+    out_path = tmp_path / "errors.csv"
+    assert cli.main(argv + ["--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == printed
+    rows = list(csv.DictReader(out_path.read_text().splitlines()))
+    assert list(rows[0]) == ["k", "relative_error"]
+    # Every state on the stride-20 grid is compared against `simulate`; the
+    # printed count also holds the decoupling start state k0 = 1, which is not.
+    assert [int(r["k"]) for r in rows] == list(range(20, 2001, 20))
+    worst = max(float(r["relative_error"]) for r in rows)
+    assert printed.startswith(
+        f"max relative reconstruction error over {len(rows) + 1} recorded states: {worst:.3e}\n"
+    )
+    assert "decoupling start index: 1 " in printed
+
+
 @pytest.mark.parametrize("stride", ["0", "-3"])
 def test_run_transformed_check_refuses_nonpositive_stride(sys_a_config, capsys, stride):
     argv = ["run", "--config", sys_a_config, "--mode", "transformed-check", "--steps", "200"]
@@ -592,12 +613,45 @@ def test_module_entry_point_runs_without_warnings(sys_a_config):
     assert "RuntimeWarning" not in proc.stderr
 
 
-def test_validate_rejects_run_flags(sys_a_config):
-    with pytest.raises(SystemExit):
-        cli.main(["validate", "--config", sys_a_config, "--steps", "5"])
+def test_validate_rejects_run_flags(sys_a_config, capsys):
+    assert cli.main(["validate", "--config", sys_a_config, "--steps", "5"]) == 1
+    assert capsys.readouterr().err == "invalid flag: unrecognized arguments: --steps 5\n"
     # Only `run` can skip the gate; `predict` would be refused by its own preconditions.
-    with pytest.raises(SystemExit):
-        cli.main(["predict", "--config", sys_a_config, "--skip-validate"])
+    assert cli.main(["predict", "--config", sys_a_config, "--skip-validate"]) == 1
+    assert capsys.readouterr().err == "invalid flag: unrecognized arguments: --skip-validate\n"
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["run", "--config", "c.json", "--mode", "propagate", "--bogus", "1"], "--bogus"),
+        (["run", "--config", "c.json", "--mode", "propagate", "--steps", "abc"], "--steps abc"),
+        (["run", "--config", "c.json", "--mode", "nope"], "--mode invalid choice: 'nope'"),
+        (["bogus", "--config", "c.json"], "'bogus'"),
+        (["run", "--mode", "propagate"], "--config"),
+        (["run", "--config", "c.json", "--mode", "propagate", "--replicas", "1"],
+         "--replicas 1: N must be at least 2"),
+    ],
+    ids=["unknown-flag", "malformed-value", "unknown-mode", "unknown-command", "missing-config",
+         "floor-in-a-mode-that-ignores-the-flag"],
+)
+def test_every_command_line_error_exits_1_before_reading(monkeypatch, capsys, argv, named):
+    def unread(path):
+        raise AssertionError(f"configuration {path} read despite a command-line error")
+
+    monkeypatch.setattr(cli, "_read_object", unread)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid flag: ") and named in lines[0]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--replicas" in capsys.readouterr().out
 
 
 def test_readme_commands_parse():
