@@ -1,4 +1,5 @@
-"""Command-line interface: validate, predict, run, averaging.
+"""Command-line interface: validate, predict, run, and averaging, which is
+`run --mode ensemble` with larger default sizes.
 
 Exit codes form a stable contract:
 
@@ -8,10 +9,14 @@ Exit codes form a stable contract:
     2  assumption failure, tolerance failure, or divergence
     3  internal inconsistency (independent solution routes disagree)
 
-The configuration is one JSON document holding the system matrices (row
-major nested arrays), the noise blocks under "noise" and the two schedules
-under "beta" and "gamma".  Any other key exits 1, so a misspelled field is
-refused rather than defaulted, and the document holds no run parameters.
+The configuration is one JSON document in one of two forms.  A coupled
+system holds the system matrices (row major nested arrays), the noise
+blocks under "noise" and the two schedules under "beta" and "gamma".  A
+document with an "A" key is an averaging problem instead: it holds only
+"A", "b" and "Gamma", and stands for the running average of
+r <- r + gamma (b - A r + noise) under AVERAGING_SCHEDULES.  Any other key
+exits 1, so a misspelled field is refused rather than defaulted, and the
+document holds no run parameters.
 Run parameters are command-line flags, each default declared once in
 `build_parser` and listed by `--help`.
 """
@@ -46,6 +51,13 @@ TRANSFORMED_TOL = 1e-8
 PREDICT_CONSISTENCY_TOL = 1e-8
 
 CONFIG_KEYS = ("n", "m", "A11", "A12", "A21", "A22", "b1", "b2", "noise", "beta", "gamma")
+AVERAGING_KEYS = ("A", "b", "Gamma")
+# Slow schedule 1/(1+k), so the scaled slow covariance is the root-k-scaled
+# covariance of the running average.
+AVERAGING_SCHEDULES = SchedulePair(
+    slow=StepSchedule(base=1.0, horizon_scale=1.0, exponent=1.0),
+    fast=StepSchedule(base=0.5, horizon_scale=10.0, exponent=0.7),
+)
 
 
 @dataclass
@@ -70,7 +82,11 @@ def _read_object(path: str) -> dict:
 
 
 def load_config(path: str) -> RunConfig:
+    """Read either document form: a coupled system, or an averaging problem {"A", "b", "Gamma"}."""
     doc = _read_object(path)
+    if "A" in doc:
+        reject_unknown_keys(doc, AVERAGING_KEYS, "averaging configuration")
+        return RunConfig(averaging_system(doc["A"], doc["b"], doc["Gamma"]), AVERAGING_SCHEDULES)
     reject_unknown_keys(doc, CONFIG_KEYS, "configuration")
     return RunConfig(system=SystemSpec.from_dict(doc), schedules=SchedulePair.from_dict(doc))
 
@@ -327,7 +343,7 @@ def _run_transformed_check(cfg: RunConfig, args) -> int:
         errors.append((st.k, err))
     if args.out:
         _write_lines(_csv_lines(["k", "relative_error"], errors), args.out)
-    print(f"max relative reconstruction error over {len(rebuilt)} recorded states: {worst:.3e}")
+    print(f"max relative reconstruction error over {len(errors)} recorded states: {worst:.3e}")
     print(
         f"decoupling start index: {run.k0} after {run.lseq.retries} retries; "
         f"final decoupling norm {run.lseq.final_norm:.3e}"
@@ -343,7 +359,19 @@ _MODES = {
 }
 
 
+# The fewest replicas each Monte Carlo mode's estimators accept.
+_MIN_REPLICAS = {
+    "ensemble": estimator.MIN_SE_SAMPLES,
+    "normality": estimator.MIN_NORMALITY_SAMPLES,
+}
+
+
 def cmd_run(args) -> int:
+    low = _MIN_REPLICAS.get(args.mode, 0)
+    if args.replicas < low:
+        print(f"invalid flag: --replicas {args.replicas}: N must be at least {low} "
+              f"in --mode {args.mode}", file=sys.stderr)
+        return EXIT_IO
     cfg = load_config(args.config)
     if not args.skip_validate:
         gate = _validation_gate(cfg, "; rerun with --skip-validate to force")
@@ -352,37 +380,6 @@ def cmd_run(args) -> int:
     if args.mode != "transformed-check":
         _require_two_time_scales(cfg)
     return _MODES[args.mode](cfg, args)
-
-
-def cmd_averaging(args) -> int:
-    doc = _read_object(args.config)
-    reject_unknown_keys(doc, ("A", "b", "Gamma"), "averaging configuration")
-    A = np.asarray(doc["A"], dtype=np.float64)
-    b = np.asarray(doc["b"], dtype=np.float64)
-    Gamma = np.asarray(doc["Gamma"], dtype=np.float64)
-
-    spec = averaging_system(A, b, Gamma)
-    # Slow schedule 1/(k+1) so the scaled slow covariance is the
-    # root-k-scaled covariance of the running average.
-    pair = SchedulePair(
-        slow=StepSchedule(base=1.0, horizon_scale=1.0, exponent=1.0),
-        fast=StepSchedule(base=0.5, horizon_scale=10.0, exponent=0.7),
-    )
-    K = args.steps
-
-    predicted = theory.predict_reduced(spec, pair.beta_bar)
-    result = engine.run_ensemble(spec, pair, args.replicas, K, [K], args.seed)
-    cp = result.final
-    S11, _, _ = estimator.scaled_covariances(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
-    SE11, _, _ = estimator.standard_errors(cp.theta_hat, cp.r_hat, cp.beta, cp.gamma)
-
-    ok = _entrywise_pass(S11, predicted, SE11)
-    print(f"predicted average covariance:\n{predicted}")
-    print(f"empirical root-k-scaled covariance at K={K}:\n{S11}")
-    print(f"entrywise standard errors:\n{SE11}")
-    print(f"averaging check ({ENSEMBLE_REL_TOL:.0%} or {ENSEMBLE_SE_FACTOR:.0f} SE): "
-          f"{'pass' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_TOLERANCE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
         "predict": sub.add_parser("predict", help="solve the limit covariance equations"),
         "run": sub.add_parser("run", help="propagate, simulate, or cross-check"),
         "averaging": sub.add_parser(
-            "averaging", help='running-average recovery demonstration (config: "A", "b", "Gamma")'
+            "averaging",
+            help='run --mode ensemble with N = 4000, K = 1e5 (made for "A", "b", "Gamma" configs)',
         ),
     }
     # Each flag goes to the subcommands that read it; a size flag's type holds its floor.
@@ -419,7 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     for users, names, kwargs in flags:
         for name in users.split():
             commands[name].add_argument(*names, **kwargs)
-    commands["averaging"].set_defaults(replicas=4000, steps=100000)
+    commands["averaging"].set_defaults(
+        mode="ensemble", out=None, skip_validate=False, replicas=4000, steps=100000
+    )
     return parser
 
 
@@ -427,7 +427,7 @@ _COMMANDS = {
     "validate": cmd_validate,
     "predict": cmd_predict,
     "run": cmd_run,
-    "averaging": cmd_averaging,
+    "averaging": cmd_run,
 }
 
 

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass line with timing.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete.  The Monte Carlo criteria use two worker threads and
-fixed seeds, so every number below is reproducible bit for bit.
+lines as they complete.  The Monte Carlo criteria use fixed seeds, so every
+number below is reproducible bit for bit.
 """
 
 import json

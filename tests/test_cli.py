@@ -144,8 +144,9 @@ def test_non_object_config_exits_1(tmp_path, capsys, doc):
          "distrbution"),
         ("validate", dict(SYS_A_DOC, beta=dict(SYS_A_DOC["beta"], Tau=5.0)), "Tau"),
         ("averaging", {"A": [[1.0]], "b": [0.0], "Gamma": [[1.0]], "gamma": {}}, "gamma"),
+        ("validate", {"A": [[1.0]], "b": [0.0], "Gamma": [[1.0]], "gamma": {}}, "gamma"),
     ],
-    ids=["top-level", "noise", "schedule", "averaging"],
+    ids=["top-level", "noise", "schedule", "averaging", "validate-averaging"],
 )
 def test_unknown_config_keys_exit_1(tmp_path, capsys, command, doc, stray):
     path = tmp_path / "stray.json"
@@ -433,11 +434,12 @@ def test_run_transformed_check_writes_errors_to_out(sys_a_config, tmp_path, monk
     rows = list(csv.DictReader(out_path.read_text().splitlines()))
     assert list(rows[0]) == ["k", "relative_error"]
     # Every state on the stride-20 grid is compared against `simulate`; the
-    # printed count also holds the decoupling start state k0 = 1, which is not.
+    # decoupling start state k0 = 1 is off the grid, so it is neither compared
+    # nor counted.
     assert [int(r["k"]) for r in rows] == list(range(20, 2001, 20))
     worst = max(float(r["relative_error"]) for r in rows)
     assert printed.startswith(
-        f"max relative reconstruction error over {len(rows) + 1} recorded states: {worst:.3e}\n"
+        f"max relative reconstruction error over {len(rows)} recorded states: {worst:.3e}\n"
     )
     assert "decoupling start index: 1 " in printed
 
@@ -480,7 +482,7 @@ def test_run_divergent_config_reports_step(tmp_path, capsys):
     assert cli.main(["validate", "--config", str(path)]) == 2
     code = cli.main(
         ["run", "--config", str(path), "--mode", "ensemble", "--skip-validate",
-         "--replicas", "8", "--steps", "2000", "--out", str(tmp_path / "x.csv")]
+         "--replicas", "30", "--steps", "2000", "--out", str(tmp_path / "x.csv")]
     )
     assert code == 2
     assert "diverged" in capsys.readouterr().out.lower()
@@ -546,6 +548,46 @@ def test_averaging_command(tmp_path, capsys):
     assert "pass" in out
 
 
+def test_averaging_is_run_mode_ensemble(tmp_path, capsys):
+    path = tmp_path / "avg.json"
+    path.write_text(json.dumps({"A": [[1.0]], "b": [0.0], "Gamma": [[1.0]]}))
+    sizes = ["-N", "600", "-K", "5000", "--seed", "0"]
+    assert cli.main(["averaging", "--config", str(path)] + sizes) == 0
+    averaged = capsys.readouterr()
+    assert cli.main(["run", "--config", str(path), "--mode", "ensemble"] + sizes) == 0
+    assert capsys.readouterr() == averaged
+
+
+# Criterion 2's averaging problem: A upper triangular, Gamma = I.
+AVG_A = [[1.0, 0.5], [0.0, 2.0]]
+AVG_DOC = {"A": AVG_A, "b": [0.0, 0.0], "Gamma": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["predict"],
+        ["run", "--mode", "propagate", "-K", "100000"],
+        ["run", "--mode", "ensemble", "-N", "4000", "-K", "100000"],
+        ["run", "--mode", "normality", "-N", "4000", "-K", "100000"],
+        ["run", "--mode", "transformed-check", "-K", "2000"],
+    ],
+    ids=["validate", "predict", "propagate", "ensemble", "normality", "transformed-check"],
+)
+def test_averaging_document_runs_every_route(tmp_path, capsys, argv):
+    path = tmp_path / "avg.json"
+    path.write_text(json.dumps(AVG_DOC))
+    assert cli.main(argv[:1] + ["--config", str(path)] + argv[1:]) == 0
+    if argv == ["predict"]:
+        # Polyak-Ruppert: the averaged slow block attains the optimal-gain
+        # covariance A^-1 Gamma A^-T, whichever route computes it.
+        matrices = parse_matrix_csv(capsys.readouterr().out.splitlines()[1:])
+        A_inv = np.linalg.inv(AVG_A)
+        for name in ("Sigma11", "Sigma11_reduced", "Sigma11_opt"):
+            np.testing.assert_allclose(matrices[name], A_inv @ A_inv.T, rtol=0, atol=1e-8)
+
+
 def test_averaging_zero_noise_is_exact(tmp_path, capsys):
     doc = {"A": [[1.0]], "b": [0.0], "Gamma": [[0.0]]}
     path = tmp_path / "avg_quiet.json"
@@ -554,8 +596,10 @@ def test_averaging_zero_noise_is_exact(tmp_path, capsys):
         ["averaging", "--config", str(path), "--replicas", "64", "--steps", "500", "--seed", "0"]
     )
     assert code == 0
-    out = capsys.readouterr().out
-    assert "[[0.]]" in out  # empirical covariance exactly zero
+    # stdout opens with the CSV of checkpoints 100 and 500.
+    final = list(csv.DictReader(capsys.readouterr().out.splitlines()[:3]))[-1]
+    assert final["k"] == "500"
+    assert [float(final[f"S{b}_0_0"]) for b in ("11", "12", "22")] == [0.0, 0.0, 0.0]
 
 
 def test_averaging_rejects_unstable(tmp_path):
@@ -599,7 +643,8 @@ def test_run_sizes_default_to_parser_values(mc_config, tmp_path, monkeypatch):
                  ["averaging", "--config", str(avg)]):
         with pytest.raises(_Recorded):
             cli.main(argv)
-    assert calls == [(1000, 10000, 0, [100, 1000, 10000]), (4000, 100000, 0, [100000])]
+    assert calls == [(1000, 10000, 0, [100, 1000, 10000]),
+                     (4000, 100000, 0, [100, 1000, 10000, 100000])]
 
 
 def test_module_entry_point_runs_without_warnings(sys_a_config):
@@ -631,9 +676,16 @@ def test_validate_rejects_run_flags(sys_a_config, capsys):
         (["run", "--mode", "propagate"], "--config"),
         (["run", "--config", "c.json", "--mode", "propagate", "--replicas", "1"],
          "--replicas 1: N must be at least 2"),
+        (["run", "--config", "c.json", "--mode", "ensemble", "--replicas", "10"],
+         "--replicas 10: N must be at least 30 in --mode ensemble"),
+        (["run", "--config", "c.json", "--mode", "normality", "--replicas", "99"],
+         "--replicas 99: N must be at least 100 in --mode normality"),
+        (["averaging", "--config", "c.json", "--replicas", "29"],
+         "--replicas 29: N must be at least 30 in --mode ensemble"),
     ],
     ids=["unknown-flag", "malformed-value", "unknown-mode", "unknown-command", "missing-config",
-         "floor-in-a-mode-that-ignores-the-flag"],
+         "floor-in-a-mode-that-ignores-the-flag", "ensemble-below-se-minimum",
+         "normality-below-its-minimum", "averaging-below-se-minimum"],
 )
 def test_every_command_line_error_exits_1_before_reading(monkeypatch, capsys, argv, named):
     def unread(path):
