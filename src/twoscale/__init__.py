@@ -11,7 +11,6 @@ from .estimator import normality_check, scaled_covariances
 from .model import NoiseSpec, SystemSpec, averaging_system, gained_system
 from .schedules import SchedulePair, StepSchedule
 from .theory import (
-    gained_reduced_covariance,
     l_sequence,
     optimal_gain_covariance,
     predict_full,
@@ -26,7 +25,6 @@ __all__ = [
     "StepSchedule",
     "SystemSpec",
     "averaging_system",
-    "gained_reduced_covariance",
     "gained_system",
     "l_sequence",
     "normality_check",

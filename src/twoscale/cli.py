@@ -374,7 +374,9 @@ def cmd_run(args) -> int:
         return EXIT_IO
     cfg = load_config(args.config)
     if not args.skip_validate:
-        gate = _validation_gate(cfg, "; rerun with --skip-validate to force")
+        # `averaging` has no --skip-validate to advise.
+        advice = "; rerun with --skip-validate to force" if args.command == "run" else ""
+        gate = _validation_gate(cfg, advice)
         if gate is not None:
             return gate
     if args.mode != "transformed-check":

@@ -657,9 +657,9 @@ def run_ensemble(
 
     def locate(a, b, Z_a, Z_b):
         M, Nk = maps(a, b)
-        W = _compose(M, Nk)[1]
         # u = Q xi for W = QR gives the drawn W'u = R'xi exactly.  If W itself
         # overflowed, Q is undefined and Gaussian chunks read per-step draws too.
+        W = _compose(M, Nk)[1] if gaussian else None
         Q = np.linalg.qr(W)[0] if gaussian and np.all(np.isfinite(W)) else None
         bad = ~(np.abs(Z_b).max(axis=1) <= DIVERGENCE_CUTOFF)
         failed = []

@@ -22,10 +22,6 @@ class NotPSD(TwoScaleError):
     """A matrix required to be positive semidefinite has a negative eigenvalue."""
 
 
-class NotHurwitz(TwoScaleError):
-    """A matrix required to have eigenvalues with negative real parts does not."""
-
-
 class DivergentRatio(TwoScaleError):
     """The slow/fast step-size ratio has no finite limit."""
 

@@ -1,4 +1,4 @@
-"""Small dense matrix kernels: spectral checks, Sylvester solves, product scans, covariance factors.
+"""Small dense matrix kernels: spectral abscissa, Sylvester solves, product scans, covariance factors.
 
 Sylvester equations go to scipy's Bartels-Stewart solver (1972), which
 reduces both coefficients to Schur form: O(p^3 + q^3) time and O(pq)
@@ -61,11 +61,6 @@ def spectral_abscissa(M) -> float:
     if A.shape[0] == 0:
         raise ValueError("matrix must be nonempty")
     return float(np.max(np.linalg.eigvals(A).real))
-
-
-def is_hurwitz(M) -> bool:
-    """True when every eigenvalue real part is below -HURWITZ_MARGIN."""
-    return spectral_abscissa(M) < -HURWITZ_MARGIN
 
 
 def psd_floor(G) -> float:

@@ -15,11 +15,14 @@ chain to a single equation for S11 whose right-hand side is the covariance
 Q of the effective slow noise V - A12 A22^{-1} W; solving that reduced
 equation independently gives a second route to S11.
 
-Gained variant: inserting a gain G on the slow update turns the effective
-slow recursion, after the fast block equilibrates, into one with drift
-G Delta and noise G (V - A12 A22^{-1} W), so its scaled covariance solves
+Gained variant: inserting a gain G on the slow update gives the coupled
+system `model.gained_system(spec, G)`, whose reduced drift is G Delta and
+whose effective slow noise is G (V - A12 A22^{-1} W).  So `predict_reduced`
+of that system solves
 
-    (G Delta) S + S (G Delta)' - beta_bar S = G Q G'.
+    (G Delta) S + S (G Delta)' - beta_bar S = G Q G'
+
+and refuses a gain that leaves the shifted drift unstable.
 
 Minimizing over G in the semidefinite order gives G = Delta^{-1} with value
 Delta^{-1} Q Delta^{-T}, which also equals the slow block of the covariance
@@ -132,26 +135,14 @@ def predict_full(spec: SystemSpec, beta_bar: float) -> CovariancePrediction:
 
 
 def predict_reduced(spec: SystemSpec, beta_bar: float) -> np.ndarray:
-    """Solve the single reduced equation for the slow block only."""
-    _check_predict_preconditions(spec, beta_bar)
-    return gained_reduced_covariance(spec, np.eye(spec.n), beta_bar)
+    """Solve the single reduced equation for the slow block only.
 
-
-def gained_reduced_covariance(spec: SystemSpec, G1, beta_bar: float) -> np.ndarray:
-    """Slow-block covariance under a slow-update gain G1.
-
-    Solves (G1 Delta) S + S (G1 Delta)' - beta_bar S = G1 Q G1'; requires
-    -(G1 Delta - beta_bar/2 I) Hurwitz for a unique stable solution.
+    Solves (Delta - beta_bar/2 I) S + S (Delta - beta_bar/2 I)' = Q.
     """
-    G1 = linalg.as_matrix(G1, "G1")
-    delta = delta_matrix(spec)
-    if G1.shape != delta.shape:
-        raise ValueError(f"gain shape {G1.shape} does not match slow dimension {delta.shape}")
-    drift = G1 @ delta - 0.5 * beta_bar * np.eye(spec.n)
-    if not linalg.is_hurwitz(-drift):
-        raise AssumptionViolation(["gained-reduced-matrix-stable"])
+    _check_predict_preconditions(spec, beta_bar)
+    drift = delta_matrix(spec) - 0.5 * beta_bar * np.eye(spec.n)
     Q = noise_equivalent_covariance(spec)
-    return linalg.symmetrize(linalg.solve_sylvester(drift, drift.T, G1 @ Q @ G1.T))
+    return linalg.symmetrize(linalg.solve_sylvester(drift, drift.T, Q))
 
 
 def optimal_gain_covariance(

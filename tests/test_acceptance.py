@@ -19,7 +19,6 @@ from twoscale import (
     SystemSpec,
     averaging_system,
     cli,
-    gained_reduced_covariance,
     gained_system,
     l_sequence,
     optimal_gain_covariance,
@@ -201,7 +200,7 @@ def test_criterion_7_gain_optimality():
     worst = np.inf
     for _ in range(20):
         g = float(rng.uniform(0.55, 4.0))  # stable region of the shifted gained drift
-        S = gained_reduced_covariance(spec, [[g]], beta_bar=1.0)
+        S = predict_reduced(gained_system(spec, [[g]]), beta_bar=1.0)
         min_eig = float(np.min(np.linalg.eigvalsh(S - S_opt)))
         worst = min(worst, min_eig)
         assert min_eig >= -1e-8

@@ -178,8 +178,11 @@ def test_non_finite_offset_exits_1(tmp_path, capsys, value):
     assert cli.main(["validate", "--config", str(path)]) == 1
     path.write_text(json.dumps({"A": [[1.0]], "b": [value], "Gamma": [[1.0]]}))
     assert cli.main(["averaging", "--config", str(path), "-N", "64", "-K", "200"]) == 1
+    path.write_text(json.dumps({"A": [[value]], "b": [0.0], "Gamma": [[1.0]]}))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert cli.main(["averaging", "--config", str(path), "-N", "64", "-K", "200"]) == 1
     err = capsys.readouterr().err
-    assert err.count("malformed configuration: system coefficients and offsets must be finite") == 2
+    assert err.count("malformed configuration: system coefficients and offsets must be finite") == 4
 
 
 def test_averaging_non_object_config_exits_1(tmp_path, capsys):
@@ -602,11 +605,46 @@ def test_averaging_zero_noise_is_exact(tmp_path, capsys):
     assert [float(final[f"S{b}_0_0"]) for b in ("11", "12", "22")] == [0.0, 0.0, 0.0]
 
 
-def test_averaging_rejects_unstable(tmp_path):
+def test_averaging_rejects_unstable(tmp_path, capsys):
     doc = {"A": [[-1.0]], "b": [0.0], "Gamma": [[1.0]]}
     path = tmp_path / "avg_bad.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["averaging", "--config", str(path), "--replicas", "64", "--steps", "200"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("fast-matrix-stable: FAIL  measured=1  ")
+    # `averaging` has no --skip-validate flag, so it gives no such advice.
+    assert lines[-1] == "validation failed"
+
+
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        (["validate"], "overall: FAIL"),
+        (["predict"], "validation failed"),
+        (["run", "--mode", "propagate", "-K", "200"],
+         "validation failed; rerun with --skip-validate to force"),
+    ],
+    ids=["validate", "predict", "run"],
+)
+def test_unstable_averaging_document_gets_the_stability_report(tmp_path, capsys, argv, last):
+    # A22 is A, so -A = [[1]] fails the fast check with its measured abscissa.
+    path = tmp_path / "avg_unstable.json"
+    path.write_text(json.dumps({"A": [[-1.0]], "b": [0.0], "Gamma": [[1.0]]}))
+    assert cli.main(argv[:1] + ["--config", str(path)] + argv[1:]) == 2
+    out = capsys.readouterr()
+    lines = out.out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "fast-matrix-stable",
+        "reduced-matrix-stable",
+        "shifted-reduced-matrix-stable",
+        "step-ratio-limit-exists",
+        "slow-inverse-growth-limit",
+        "time-scale-separation",
+    ]
+    assert lines[0].startswith("fast-matrix-stable: FAIL  measured=1  ")
+    assert all(": pass" in line for line in lines[1:-1])
+    assert lines[-1] == last
+    assert out.err == ""
 
 
 @pytest.mark.parametrize("sizes", [["--replicas", "0", "--steps", "200"],

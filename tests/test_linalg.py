@@ -4,7 +4,6 @@ import pytest
 from twoscale.errors import NonFinite, NotPSD, SingularPencil
 from twoscale.linalg import (
     factor_covariance,
-    is_hurwitz,
     is_symmetric,
     solve_sylvester,
     spectral_abscissa,
@@ -39,13 +38,6 @@ def test_abscissa_similarity_invariance():
         a1 = spectral_abscissa(M)
         a2 = spectral_abscissa(S @ M @ np.linalg.inv(S))
         assert a1 == pytest.approx(a2, abs=1e-8)
-
-
-def test_is_hurwitz():
-    assert is_hurwitz(-np.eye(3))
-    assert not is_hurwitz([[0.0, 1.0], [-1.0, 0.0]])
-    assert is_hurwitz([[-2.0, 1.0], [1.0, -1.0]])
-    assert not is_hurwitz([[-1e-12]])  # inside the default margin
 
 
 def test_sylvester_scalar():

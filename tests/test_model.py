@@ -12,12 +12,13 @@ from twoscale import (
     averaging_system,
     gained_system,
 )
-from twoscale.errors import NotHurwitz, NotPSD, SingularA22
+from twoscale.errors import NotPSD, SingularA22
 from twoscale.model import (
     centring_matrix,
     delta_matrix,
     fixed_point,
     fully_gained_system,
+    stability_checks,
     validate_system,
 )
 
@@ -133,8 +134,25 @@ def test_averaging_system_identity_case():
 
 
 def test_averaging_system_rejects_unstable():
-    with pytest.raises(NotHurwitz):
-        averaging_system(np.array([[-1.0]]), np.array([0.0]), np.array([[1.0]]))
+    # A22 is A, so an unstable -A fails the fast check with its measured abscissa.
+    spec = averaging_system(np.array([[-1.0]]), np.array([0.0]), np.array([[1.0]]))
+    report = stability_checks(spec, beta_bar=1.0)
+    assert not report.passed
+    assert [c.name for c in report.checks if not c.passed] == ["fast-matrix-stable"]
+    assert report["fast-matrix-stable"].measured == pytest.approx(1.0)
+
+
+def test_fast_matrix_stable_is_the_hurwitz_rule():
+    # The fast check passes exactly when -A22 = M has every eigenvalue real part below -1e-9.
+    def fast_stable(M):
+        d = len(M)
+        spec = averaging_system(-np.asarray(M), np.zeros(d), np.zeros((d, d)))
+        return stability_checks(spec, beta_bar=1.0)["fast-matrix-stable"].passed
+
+    assert fast_stable(-np.eye(3))
+    assert not fast_stable([[0.0, 1.0], [-1.0, 0.0]])
+    assert fast_stable([[-2.0, 1.0], [1.0, -1.0]])
+    assert not fast_stable([[-1e-12]])  # inside the margin
 
 
 def test_averaging_validates_with_harmonic_slow_schedule():

@@ -12,11 +12,12 @@ from twoscale import (
     StepSchedule,
     SystemSpec,
     averaging_system,
-    gained_reduced_covariance,
+    gained_system,
     l_sequence,
     optimal_gain_covariance,
     predict_full,
     predict_reduced,
+    run_ensemble,
 )
 from twoscale.errors import AssumptionViolation, DivergentRatio, SingularStep
 from twoscale.linalg import solve_sylvester
@@ -212,20 +213,35 @@ def test_optimal_gain_zero_noise(sys_a):
 
 
 def test_gained_reduced_matches_optimum_at_inverse_drift(sys_a):
-    S = gained_reduced_covariance(sys_a, [[1.0]], beta_bar=1.0)
+    S = predict_reduced(gained_system(sys_a, [[1.0]]), beta_bar=1.0)
     assert S == pytest.approx(np.array([[2.0]]))
 
 
 def test_gained_reduced_scalar_closed_form(sys_a):
     # scalar case: S(g) = 2 g^2 / (2 g - 1) with Q = 2, Delta = 1
     for g in (0.7, 1.0, 1.8, 3.0):
-        S = gained_reduced_covariance(sys_a, [[g]], beta_bar=1.0)
+        S = predict_reduced(gained_system(sys_a, [[g]]), beta_bar=1.0)
         assert S[0, 0] == pytest.approx(2.0 * g * g / (2.0 * g - 1.0), rel=1e-10)
 
 
 def test_gained_reduced_requires_stable_drift(sys_a):
     with pytest.raises(AssumptionViolation):
-        gained_reduced_covariance(sys_a, [[0.4]], beta_bar=1.0)
+        predict_reduced(gained_system(sys_a, [[0.4]]), beta_bar=1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda spec, pair: run_ensemble(spec, pair, 4, 0, [0], base_seed=0),
+         "K must be at least 1"),
+        (lambda spec, pair: l_sequence(spec, pair, K=4, k0=5), "K=4 must be at least k0=5"),
+        (lambda spec, pair: gained_system(spec, np.eye(2)), r"G1 must be 1x1, got \(2, 2\)"),
+    ],
+    ids=["ensemble-K-below-1", "l-sequence-K-below-k0", "gain-shape"],
+)
+def test_argument_refusals(sys_a, sys_a_pair, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(sys_a, sys_a_pair)
 
 
 def test_gain_dominance_on_random_systems():
@@ -239,7 +255,7 @@ def test_gain_dominance_on_random_systems():
         drift = G1 @ delta - 0.5 * np.eye(spec.n)
         if np.max(np.linalg.eigvals(-drift).real) >= -1e-6:
             continue
-        S = gained_reduced_covariance(spec, G1, beta_bar=1.0)
+        S = predict_reduced(gained_system(spec, G1), beta_bar=1.0)
         min_eig = float(np.min(np.linalg.eigvalsh(S - S_opt)))
         assert min_eig >= -1e-8
         done += 1
