@@ -1,6 +1,7 @@
 """Asymptotic covariance prediction and validation for coupled slow/fast linear iterations."""
 
 from .engine import (
+    STREAM_LAYOUT,
     propagate_covariance,
     reconstruct_original,
     run_ensemble,
@@ -20,6 +21,7 @@ from .theory import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "STREAM_LAYOUT",
     "NoiseSpec",
     "SchedulePair",
     "StepSchedule",

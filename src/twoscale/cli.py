@@ -50,7 +50,6 @@ ENSEMBLE_SE_FACTOR = 4.0
 TRANSFORMED_TOL = 1e-8
 PREDICT_CONSISTENCY_TOL = 1e-8
 
-CONFIG_KEYS = ("n", "m", "A11", "A12", "A21", "A22", "b1", "b2", "noise", "beta", "gamma")
 AVERAGING_KEYS = ("A", "b", "Gamma")
 # Slow schedule 1/(1+k), so the scaled slow covariance is the root-k-scaled
 # covariance of the running average.
@@ -87,7 +86,6 @@ def load_config(path: str) -> RunConfig:
     if "A" in doc:
         reject_unknown_keys(doc, AVERAGING_KEYS, "averaging configuration")
         return RunConfig(averaging_system(doc["A"], doc["b"], doc["Gamma"]), AVERAGING_SCHEDULES)
-    reject_unknown_keys(doc, CONFIG_KEYS, "configuration")
     return RunConfig(system=SystemSpec.from_dict(doc), schedules=SchedulePair.from_dict(doc))
 
 

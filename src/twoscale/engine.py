@@ -45,8 +45,8 @@ overflowed, Q is undefined and the replay reads the per-step stream's draws
 instead.  Every other route draws per step and stays the pathwise
 reference.
 
-Determinism contract (stream layout 5)
---------------------------------------
+Determinism contract (stream layout STREAM_LAYOUT = 5)
+------------------------------------------------------
 Every generator is SFC64 seeded by `SeedSequence(entropy=base_seed,
 spawn_key=key)`: the seed alone fills the entropy pool, zero-padded to a
 fixed width, so no two seeds share a key (a negative seed is refused).
@@ -66,11 +66,12 @@ of replicas inside one chunk, and holds those rows of the tile it read
 last: one row for a single trajectory, the whole chunk for a Rademacher
 ensemble.  Tile shapes are fixed functions of d alone, so which values a
 replica sees never depends on N, K, checkpoints or chunk scheduling.  A
-Gaussian tile is the generator's standard normals in row-major order.  A
-scaled-Rademacher tile spends one raw bit per sign: with cols = block * d,
-entry [r, j] is 1 - 2 * ((w[i // 64] >> (i % 64)) & 1) for i = r * cols +
-j and w the generator's raw 64-bit words, so bit 0 gives +1.0 and bit 1
-gives -1.0.
+Gaussian tile is the generator's standard normals in row-major order, as
+float64.  A scaled-Rademacher tile holds int8 signs and spends one raw bit
+per sign: with cols = block * d, entry [r, j] is 1 - 2 * ((w[i // 64] >>
+(i % 64)) & 1) for i = r * cols + j and w the generator's raw 64-bit words,
+so bit 0 gives +1 and bit 1 gives -1.  Every consumer promotes the signs
+to float64 exactly, so the dtype is no part of the values.
 
 Aggregated Gaussian draws are a pure function of (base_seed, replica,
 segment partition).  One generator per chunk, keyed (1, chunk), serves the
@@ -85,6 +86,9 @@ A Rademacher ensemble's noise term V = U W over a segment sums its L d
 input columns in a fixed order: blocks of NOISE_SUM_COLS columns from the
 segment's first column, V = U[:, 0:512] W[0:512] + U[:, 512:1024]
 W[512:1024] + ..., each block one BLAS product, added in column order.
+U stays int8 signs: each block is cast into one float64 buffer of
+(NOISE_CHUNK, NOISE_SUM_COLS), allocated once per run, just before its
+product, so the cast and the product run from cache.
 The rule is part of the contract, like the layout: a new block width or
 order changes the ensemble's bits by about 1e-16 relative.  No product runs
 over more than NOISE_SUM_COLS terms; on OpenBLAS 0.3.31 that gave the same
@@ -109,6 +113,7 @@ from .model import SystemSpec, centring_matrix, delta_matrix, fixed_point
 from .schedules import SchedulePair
 from .theory import LSequence, l_sequence
 
+STREAM_LAYOUT = 5  # version of the noise stream layout described above
 NOISE_CHUNK = 64  # replicas per noise tile
 NOISE_SUM_COLS = 512  # input columns per block of a Rademacher segment's noise-term sum
 
@@ -139,34 +144,38 @@ def _standard_tile(
 
     Shape (rows, noise_block_steps(dim) * dim); row r holds the draws of
     replica chunk_idx * NOISE_CHUNK + r for the block's steps, step-major,
-    and does not depend on rows.  Gaussian tiles are standard normals in
-    that order.  Scaled-Rademacher tiles take one raw bit per sign: the
-    generator's raw 64-bit words, read least significant bit first, give
-    flat entry i the sign 1 - 2 * ((word[i // 64] >> (i % 64)) & 1), so
-    bit 0 is +1.0 and bit 1 is -1.0.
+    and does not depend on rows.  Gaussian tiles are float64 standard
+    normals in that order.  Scaled-Rademacher tiles are int8 signs, one raw
+    bit per sign: the generator's raw 64-bit words, read least significant
+    bit first, give flat entry i the sign 1 - 2 * ((word[i // 64] >> (i %
+    64)) & 1), so bit 0 is +1 and bit 1 is -1.  The signs are computed in
+    place on the unpacked bits, so a tile costs one byte per entry and no
+    float64 copy; each consumer casts what it reads.
     """
     gen = _generator(base_seed, 0, chunk_idx, block_idx)
     cols = noise_block_steps(dim) * dim
     count = rows * cols
     if distribution == "gaussian":
-        vals = gen.standard_normal(count)
-    else:
-        # cols need not be a multiple of 64 (4092 at dim 6): draw whole
-        # words and drop the bits past the last row.
-        words = gen.bit_generator.random_raw(-(-count // 64)).astype("<u8", copy=False)
-        bits = np.unpackbits(words.view(np.uint8), count=count, bitorder="little")
-        vals = (1 - 2 * bits.view(np.int8)).astype(np.float64)
-    return vals.reshape(rows, cols)
+        return gen.standard_normal(count).reshape(rows, cols)
+    # cols need not be a multiple of 64 (4092 at dim 6): draw whole
+    # words and drop the bits past the last row.
+    words = gen.bit_generator.random_raw(-(-count // 64)).astype("<u8", copy=False)
+    signs = np.unpackbits(words.view(np.uint8), count=count, bitorder="little").view(np.int8)
+    signs *= -2  # in place on the unpacked bits: 0 stays 0, 1 becomes -2
+    signs += 1
+    return signs.reshape(rows, cols)
 
 
 def _step_reader(spec: SystemSpec, base_seed: int, replicas: range):
     """Reader of the standardized per-step draws of replicas, which lie in one chunk.
 
     read(a, b) returns the draws of steps [a, b) flattened step-major, one
-    row per replica, shape (len(replicas), (b - a) * d).  [a, b) lies inside
-    one noise tile, as every `_segments` segment does.  The reader holds
-    only its rows of the tile it read last, so reading in step order
-    generates each tile once.
+    row per replica, shape (len(replicas), (b - a) * d): float64 for
+    Gaussian noise, int8 signs for scaled-Rademacher noise, which
+    `_blocked_product` casts one block at a time and a product with a
+    float64 map promotes exactly.  [a, b) lies inside one noise tile, as
+    every `_segments` segment does.  The reader holds only its rows of the
+    tile it read last, so reading in step order generates each tile once.
     """
     d = spec.n + spec.m
     block = noise_block_steps(d)
@@ -264,23 +273,22 @@ def _segments(maps, start: int, stop: int, block: int, edges):
         t0 = t1
 
 
-def _blocked_product(U: np.ndarray, W: np.ndarray, out: np.ndarray) -> None:
-    """out = U @ W, summed in order over blocks of NOISE_SUM_COLS columns of U from the first.
+def _blocked_product(U: np.ndarray, W: np.ndarray, out: np.ndarray, buf: np.ndarray) -> None:
+    """out = U @ W for int8 signs U, summed over blocks of NOISE_SUM_COLS columns in order.
 
-    Each block's product is small enough for BLAS to keep in cache, and no
-    product's sum runs over more than NOISE_SUM_COLS terms.  The whole
-    blocks go through one stacked matmul, one BLAS product per block, whose
-    results add.reduce adds in block order; a partial last block comes last.
+    Each block is cast into the float64 buffer buf, of at least U's rows and
+    NOISE_SUM_COLS columns, just before its BLAS product, so the cast and the
+    product run from cache and no product's sum runs over more than
+    NOISE_SUM_COLS terms.  The block products add in column order.
     """
     rows, cols = U.shape
-    head = cols - cols % NOISE_SUM_COLS  # the columns of whole blocks
-    if not head:
-        np.matmul(U, W, out=out)
-        return
-    blocks = U[:, :head].reshape(rows, -1, NOISE_SUM_COLS).transpose(1, 0, 2)
-    np.add.reduce(blocks @ W[:head].reshape(len(blocks), NOISE_SUM_COLS, -1), axis=0, out=out)
-    if head < cols:
-        out += U[:, head:] @ W[head:]
+    for j in range(0, cols, NOISE_SUM_COLS):
+        block = buf[:rows, : min(NOISE_SUM_COLS, cols - j)]
+        np.copyto(block, U[:, j : j + NOISE_SUM_COLS])
+        if j:
+            out += block @ W[j : j + NOISE_SUM_COLS]
+        else:
+            np.matmul(block, W[:NOISE_SUM_COLS], out=out)
 
 
 def _replay(Z, M, N, U, a: int, replicas=None) -> None:
@@ -643,13 +651,14 @@ def run_ensemble(
             yield a, b, P, drawn @ np.linalg.qr(W, mode="r")
 
     def rademacher_plan():
+        buf = np.empty((NOISE_CHUNK, NOISE_SUM_COLS))  # one sign block, cast to float64
         for t0 in range(0, K, block):
             segments = list(_segments(maps, t0, min(K, t0 + block), block, cps))
             V = np.empty((len(segments), N, d))
             for replicas in chunks:
                 read = _step_reader(spec, base_seed, replicas)
                 for (a, b, _, W), v in zip(segments, V):
-                    _blocked_product(read(a, b), W, v[replicas.start : replicas.stop])
+                    _blocked_product(read(a, b), W, v[replicas.start : replicas.stop], buf)
                 del read  # hold one chunk's tile at a time
             for (a, b, P, _), v in zip(segments, V):
                 yield a, b, P, v

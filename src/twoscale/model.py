@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import SingularA22, SingularSystem
 from .schedules import SchedulePair, validate_schedules
-from .validation import ValidationReport, reject_unknown_keys
+from .validation import CONFIG_KEYS, ValidationReport, reject_unknown_keys
 
 DISTRIBUTIONS = ("gaussian", "scaled-rademacher")
 
@@ -101,6 +101,8 @@ class SystemSpec:
     b1: np.ndarray
     b2: np.ndarray
     noise: NoiseSpec
+    # cond(A22), reported by `stability_checks` and read by every solve with A22.
+    a22_cond: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A11", linalg.as_matrix(self.A11, "A11"))
@@ -123,8 +125,7 @@ class SystemSpec:
                 raise ValueError(f"{name} has shape {got}, expected {want}")
         if not all(np.all(np.isfinite(v)) for v in (self.block_matrix(), self.b1, self.b2)):
             raise ValueError("system coefficients and offsets must be finite")
-        if np.linalg.cond(self.A22) > linalg.COND_CAP:
-            raise SingularA22(f"A22 condition number exceeds {linalg.COND_CAP:.0e}")
+        object.__setattr__(self, "a22_cond", float(np.linalg.cond(self.A22)))
 
     @property
     def n(self) -> int:
@@ -157,6 +158,8 @@ class SystemSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemSpec":
+        """Read the system's keys of a configuration document, refusing any key outside CONFIG_KEYS."""
+        reject_unknown_keys(d, CONFIG_KEYS, "configuration")
         spec = cls(
             A11=d["A11"],
             A12=d["A12"],
@@ -188,12 +191,16 @@ def fixed_point(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     return x[: spec.n], x[spec.n :]
 
 
+def require_invertible_a22(spec: SystemSpec) -> None:
+    """Raise SingularA22 when cond(A22) exceeds COND_CAP, the `fast-matrix-conditioned` check."""
+    if spec.a22_cond > linalg.COND_CAP:
+        raise SingularA22(f"A22 condition number exceeds {linalg.COND_CAP:.0e}")
+
+
 def fast_coupling(spec: SystemSpec) -> np.ndarray:
     """A22^{-1} A21, the fast block's equilibrium response to the slow iterate."""
-    try:
-        return np.linalg.solve(spec.A22, spec.A21)
-    except np.linalg.LinAlgError as exc:
-        raise SingularA22(str(exc)) from exc
+    require_invertible_a22(spec)
+    return np.linalg.solve(spec.A22, spec.A21)
 
 
 def delta_matrix(spec: SystemSpec) -> np.ndarray:
@@ -218,9 +225,10 @@ def averaging_system(A, b, Gamma) -> SystemSpec:
     The fast block runs r' = r + gamma (b - A r + W); the slow block tracks
     the running average of r (identity drift toward the fast iterate, no
     slow noise).  A22 is A, so `stability_checks` reports whether -A is
-    Hurwitz as `fast-matrix-stable`, and `SystemSpec` refuses a
-    non-finite or singular A.  The reduced slow drift of the result is the
-    identity and both fixed-point coordinates equal the solution of A r = b.
+    Hurwitz as `fast-matrix-stable` and cond(A) as `fast-matrix-conditioned`,
+    and `SystemSpec` refuses a non-finite A.  The reduced slow drift of the
+    result is the identity and both fixed-point coordinates equal the
+    solution of A r = b.
     """
     A = linalg.as_matrix(A, "A")
     b = _vector(b, "b")
@@ -287,22 +295,20 @@ def fully_gained_system(spec: SystemSpec, G) -> SystemSpec:
 
 
 def stability_checks(spec: SystemSpec, beta_bar: float) -> ValidationReport:
-    """Stability of -A22, of -Delta and of -(Delta - beta_bar/2 I).
+    """Stability of -A22, conditioning of A22, and stability of -Delta and -(Delta - beta_bar/2 I).
 
-    Each check reports the spectral abscissa it measured and passes when that
-    is below its threshold, -HURWITZ_MARGIN.  `validate_system` lists these
-    checks, and the limit-equation solvers in `theory` refuse a system that
-    fails any of them.
+    Each stability check reports the spectral abscissa it measured and
+    passes when that is below its threshold, -HURWITZ_MARGIN.
+    `fast-matrix-conditioned` reports cond(A22) against COND_CAP.  When it
+    fails, Delta = A11 - A12 A22^{-1} A21 does not exist, so the two checks
+    on it fail with a note and no measured value.  `validate_system` lists
+    these checks, and the limit-equation solvers in `theory` refuse a system
+    that fails any of them.
     """
     report = ValidationReport()
     threshold = -linalg.HURWITZ_MARGIN
-    delta = delta_matrix(spec)
-    for name, M, note in (
-        ("fast-matrix-stable", -spec.A22, "-A22"),
-        ("reduced-matrix-stable", -delta, "-Delta"),
-        ("shifted-reduced-matrix-stable", -(delta - 0.5 * beta_bar * np.eye(spec.n)),
-         "-(Delta - beta_bar/2 I)"),
-    ):
+
+    def stable(name: str, M: np.ndarray, note: str) -> None:
         abscissa = linalg.spectral_abscissa(M)
         report.add(
             name,
@@ -311,6 +317,23 @@ def stability_checks(spec: SystemSpec, beta_bar: float) -> ValidationReport:
             threshold=threshold,
             note=f"spectral abscissa of {note}",
         )
+
+    stable("fast-matrix-stable", -spec.A22, "-A22")
+    report.add(
+        "fast-matrix-conditioned",
+        spec.a22_cond <= linalg.COND_CAP,
+        measured=spec.a22_cond,
+        threshold=linalg.COND_CAP,
+        note="condition number of A22",
+    )
+    if spec.a22_cond > linalg.COND_CAP:
+        for name in ("reduced-matrix-stable", "shifted-reduced-matrix-stable"):
+            report.add(name, False, note="Delta needs A22^-1, which fast-matrix-conditioned refuses")
+        return report
+    delta = delta_matrix(spec)
+    stable("reduced-matrix-stable", -delta, "-Delta")
+    stable("shifted-reduced-matrix-stable", -(delta - 0.5 * beta_bar * np.eye(spec.n)),
+           "-(Delta - beta_bar/2 I)")
     return report
 
 

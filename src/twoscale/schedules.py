@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentRatio
-from .validation import ValidationReport, reject_unknown_keys
+from .validation import CONFIG_KEYS, ValidationReport, reject_unknown_keys
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,8 @@ class SchedulePair:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SchedulePair":
+        """Read "beta" and "gamma" of a configuration document, refusing any key outside CONFIG_KEYS."""
+        reject_unknown_keys(d, CONFIG_KEYS, "configuration")
         return cls(slow=StepSchedule.from_dict(d["beta"]), fast=StepSchedule.from_dict(d["gamma"]))
 
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import linalg
 from .errors import AssumptionViolation, SingularDelta, SingularStep, SingularSystem
-from .model import SystemSpec, delta_matrix, fast_coupling, stability_checks
+from .model import SystemSpec, delta_matrix, fast_coupling, require_invertible_a22, stability_checks
 from .schedules import SchedulePair
 
 
@@ -95,6 +95,7 @@ class CovariancePrediction:
 def noise_equivalent_covariance(spec: SystemSpec) -> np.ndarray:
     """Covariance Q of the effective slow noise V - A12 A22^{-1} W."""
     G = spec.noise
+    require_invertible_a22(spec)
     C = np.linalg.solve(spec.A22.T, spec.A12.T).T  # A12 A22^{-1}
     Q = G.Gamma11 - C @ G.Gamma12.T - G.Gamma12 @ C.T + C @ G.Gamma22 @ C.T
     return linalg.symmetrize(Q)

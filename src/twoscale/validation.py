@@ -5,6 +5,11 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+# Every key of a coupled-system configuration document.  `SystemSpec.from_dict`
+# reads the system's keys and `SchedulePair.from_dict` the schedules' from the
+# same document, and each refuses any key outside this list.
+CONFIG_KEYS = ("n", "m", "A11", "A12", "A21", "A22", "b1", "b2", "noise", "beta", "gamma")
+
 
 def reject_unknown_keys(doc: dict, allowed: Iterable[str], where: str) -> None:
     """Raise ValueError naming every key of `doc` outside `allowed`."""

@@ -82,6 +82,7 @@ def test_validate_lists_only_checks_that_can_fail(sys_a_config, capsys):
     names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
     assert names == [
         "fast-matrix-stable",
+        "fast-matrix-conditioned",
         "reduced-matrix-stable",
         "shifted-reduced-matrix-stable",
         "step-ratio-limit-exists",
@@ -108,6 +109,28 @@ def test_validate_singular_fast_block_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["validate", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"A": [[0.0]], "b": [0.0], "Gamma": [[1.0]]}, dict(SYS_A_DOC, A22=[[0.0]])],
+    ids=["averaging", "coupled"],
+)
+@pytest.mark.parametrize("command", ["validate", "predict"])
+def test_singular_fast_block_gets_the_stability_report(tmp_path, capsys, doc, command):
+    # A22 = 0: its condition number is the failing check, and the two
+    # checks on Delta, which needs A22^-1, fail with a note instead of raising.
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, "--config", str(path)]) == 2
+    out = capsys.readouterr()
+    lines = out.out.splitlines()
+    assert lines[1] == "fast-matrix-conditioned: FAIL  measured=inf  threshold=1e+12  (condition number of A22)"
+    for line in lines[2:4]:
+        assert line.endswith(": FAIL  (Delta needs A22^-1, which fast-matrix-conditioned refuses)")
+    assert [line.split(":")[0] for line in lines[2:4]] == ["reduced-matrix-stable", "shifted-reduced-matrix-stable"]
+    assert lines[-1] == ("overall: FAIL" if command == "validate" else "validation failed")
+    assert out.err == ""
 
 
 def test_validate_unstable_shifted_drift_exits_2(tmp_path):
@@ -635,6 +658,7 @@ def test_unstable_averaging_document_gets_the_stability_report(tmp_path, capsys,
     lines = out.out.splitlines()
     assert [line.split(":")[0] for line in lines[:-1]] == [
         "fast-matrix-stable",
+        "fast-matrix-conditioned",
         "reduced-matrix-stable",
         "shifted-reduced-matrix-stable",
         "step-ratio-limit-exists",

@@ -41,7 +41,8 @@ def chunk_draws(base_seed, chunk_idx, dim, distribution, steps):
     row = np.concatenate(
         [_standard_tile(base_seed, chunk_idx, i, dim, distribution) for i in range(tiles)], axis=1
     )
-    return row[:, : steps * dim]
+    # Rademacher tiles are int8 signs; in float64 their products cannot overflow.
+    return row[:, : steps * dim].astype(np.float64)
 
 
 def segment_draws(base_seed, chunk_idx, segments, dim):
@@ -246,6 +247,26 @@ def test_standard_tile_rows_are_a_prefix_of_the_full_tile(distribution, dim):
     full = _standard_tile(7, 1, 2, dim, distribution)
     for rows in (1, 2, 18, 64):
         assert np.array_equal(_standard_tile(7, 1, 2, dim, distribution, rows), full[:rows])
+
+
+@pytest.mark.parametrize("dim", [2, 6, 20])
+@pytest.mark.parametrize("rows", [1, 64])
+def test_standard_tile_dtypes(dim, rows):
+    # Rademacher tiles stay one int8 sign per entry, with no float64 copy;
+    # Gaussian tiles are float64 normals.
+    cols = noise_block_steps(dim) * dim
+    signs = _standard_tile(7, 1, 2, dim, "scaled-rademacher", rows)
+    assert signs.dtype == np.int8 and signs.shape == (rows, cols)
+    assert signs.nbytes == rows * cols
+    assert set(np.unique(signs)) == {-1, 1}
+    normals = _standard_tile(7, 1, 2, dim, "gaussian", rows)
+    assert normals.dtype == np.float64 and normals.shape == (rows, cols)
+
+
+def test_stream_layout_is_pinned():
+    # The digests above and ROUTE_GOLDEN are those of this layout; a change
+    # to what any seed draws must bump it with them.
+    assert engine.STREAM_LAYOUT == 5
 
 
 @pytest.mark.parametrize("dim", [2, 6])
@@ -725,15 +746,17 @@ def test_suffix_products_match_naive_loop(L):
 @pytest.mark.parametrize("d", [2, 6, 20])
 def test_blocked_product_equals_the_full_product(d, cols):
     rng = np.random.default_rng(100 * cols + d)
-    # A column window of a wider tile, as a segment reads it.
-    U = (1.0 - 2.0 * rng.integers(0, 2, (NOISE_CHUNK, cols + 8)))[:, 3 : 3 + cols]
+    # A column window of a wider int8 sign tile, as a segment reads it.
+    U = (1 - 2 * rng.integers(0, 2, (NOISE_CHUNK, cols + 8))).astype(np.int8)[:, 3 : 3 + cols]
     out = np.empty((NOISE_CHUNK, d))
+    # The cast buffer's stale contents must not leak into any block.
+    buf = np.full((NOISE_CHUNK, engine.NOISE_SUM_COLS), np.nan)
     # Integer W: every partial sum is an integer below 2^53, so exact in any order.
     W = rng.integers(-1000, 1001, (cols, d)).astype(np.float64)
-    engine._blocked_product(U, W, out)
+    engine._blocked_product(U, W, out, buf)
     assert np.array_equal(out, U @ W)
     W = rng.standard_normal((cols, d))
-    engine._blocked_product(U, W, out)
+    engine._blocked_product(U, W, out, buf)
     assert np.all(np.abs(out - U @ W) <= 1e-13 * (np.abs(U) @ np.abs(W)))
     # The summation order, written out: one product per block, added in order.
     step = engine.NOISE_SUM_COLS
@@ -979,6 +1002,26 @@ def test_ensemble_memory_does_not_grow_with_steps(mc_pair, distribution):
     K = 2000
     peak_bytes(K)  # warm up caches that a first call allocates
     assert peak_bytes(4 * K) - peak_bytes(K) <= 0.5e6
+
+
+def test_rademacher_ensemble_holds_no_float64_tile(mc_pair):
+    # One d = 6 noise tile of one chunk is 64 x 4092 entries: 2.1 MB as
+    # float64, 0.26 MB as int8 signs.  The run peaks near 1.07 MB: the
+    # tile's composed maps and scan (about 0.8 MB) overlap the run's 0.26 MB
+    # cast buffer.  Any float64 copy of the tile would pass 1.5 MB.
+    spec = random_stable_system(np.random.default_rng(3), n=3, m=3, distribution="scaled-rademacher")
+    K = noise_block_steps(6)
+
+    def peak_bytes():
+        tracemalloc.start()
+        try:
+            run_ensemble(spec, mc_pair, NOISE_CHUNK, K, [K], base_seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes()  # warm up caches that a first call allocates
+    assert peak_bytes() < 1.5e6
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,17 @@ from twoscale import (
     averaging_system,
     gained_system,
 )
-from twoscale.errors import NotPSD, SingularA22
+from twoscale.errors import AssumptionViolation, NotPSD, SingularA22
 from twoscale.model import (
     centring_matrix,
     delta_matrix,
+    fast_coupling,
     fixed_point,
     fully_gained_system,
     stability_checks,
     validate_system,
 )
+from twoscale.theory import noise_equivalent_covariance, predict_full
 
 
 def test_fixed_point_reference_system(sys_a):
@@ -201,12 +203,29 @@ def test_validate_system_rotation_fast_block_fails(sys_a_pair):
     assert not report["fast-matrix-stable"].passed
 
 
-def test_system_spec_rejects_singular_a22(sys_a):
-    with pytest.raises(SingularA22):
-        SystemSpec(
-            A11=[[2.0]], A12=[[1.0]], A21=[[1.0]], A22=[[0.0]],
-            b1=[1.0], b2=[2.0], noise=sys_a.noise,
-        )
+@pytest.mark.parametrize(
+    "a22", [[[0.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-14]]], ids=["zero", "ill-conditioned"]
+)
+def test_singular_a22_is_reported_and_refused_by_its_solvers(a22):
+    # The spec exists; `stability_checks` reports cond(A22) against the cap,
+    # and every helper that solves with A22 still refuses it when called
+    # without that gate.
+    m = len(a22)
+    spec = SystemSpec(
+        A11=[[2.0]], A12=np.ones((1, m)), A21=np.ones((m, 1)), A22=a22, b1=[1.0], b2=np.ones(m),
+        noise=NoiseSpec(Gamma11=[[1.0]], Gamma12=np.zeros((1, m)), Gamma22=np.eye(m)),
+    )
+    report = stability_checks(spec, beta_bar=0.1)
+    check = report["fast-matrix-conditioned"]
+    assert not check.passed and check.measured > 1e12 and check.threshold == 1e12
+    for name in ("reduced-matrix-stable", "shifted-reduced-matrix-stable"):
+        assert not report[name].passed and report[name].measured is None
+    for solve in (fast_coupling, delta_matrix, centring_matrix, noise_equivalent_covariance):
+        with pytest.raises(SingularA22, match="A22 condition number exceeds 1e\\+12"):
+            solve(spec)
+    with pytest.raises(AssumptionViolation) as exc:
+        predict_full(spec, 0.1)
+    assert "fast-matrix-conditioned" in exc.value.failures
 
 
 def test_system_spec_rejects_inconsistent_shapes(sys_a):
@@ -241,6 +260,14 @@ def test_system_round_trip(sys_a):
     assert np.array_equal(rebuilt.block_matrix(), sys_a.block_matrix())
     assert np.array_equal(rebuilt.offset(), sys_a.offset())
     assert rebuilt.noise.distribution == sys_a.noise.distribution
+
+
+def test_system_from_dict_refuses_stray_keys(sys_a):
+    # The schedules' keys belong to the same document, so they pass.
+    doc = {**sys_a.to_dict(), "beta": {}, "gamma": {}}
+    assert SystemSpec.from_dict(doc).to_dict() == sys_a.to_dict()
+    with pytest.raises(ValueError, match="unknown configuration keys: 'A2l', 'run'"):
+        SystemSpec.from_dict({**doc, "A2l": [[1.0]], "run": {"steps": 5}})
 
 
 def test_system_from_dict_checks_declared_dimensions(sys_a):

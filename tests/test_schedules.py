@@ -121,6 +121,15 @@ def test_pair_properties_and_round_trip():
     assert rebuilt == pair
 
 
+def test_pair_from_dict_refuses_stray_keys(sys_a):
+    pair = SchedulePair(slow=StepSchedule(1.0, 10.0, 1.0), fast=StepSchedule(0.5, 10.0, 0.7))
+    # The whole configuration document is accepted: the system's keys are its own.
+    doc = {**sys_a.to_dict(), **pair.to_dict()}
+    assert SchedulePair.from_dict(doc) == pair
+    with pytest.raises(ValueError, match="unknown configuration keys: 'gama'"):
+        SchedulePair.from_dict({**doc, "gama": doc["gamma"]})
+
+
 def test_validate_schedules_reference_pair_passes():
     pair = SchedulePair(slow=StepSchedule(1.0, 10.0, 1.0), fast=StepSchedule(1.0, 10.0, 0.7))
     report = validate_schedules(pair)

@@ -67,7 +67,12 @@ def test_predict_preconditions_enforced(sys_a):
         predict_reduced(sys_a, beta_bar=3.0)
 
 
-STABILITY_CHECKS = ("fast-matrix-stable", "reduced-matrix-stable", "shifted-reduced-matrix-stable")
+STABILITY_CHECKS = (
+    "fast-matrix-stable",
+    "fast-matrix-conditioned",
+    "reduced-matrix-stable",
+    "shifted-reduced-matrix-stable",
+)
 
 
 @pytest.mark.parametrize(
