@@ -107,7 +107,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DIVERGENCE_CUTOFF, Diverged, MomentDiverged, NonFinite, NotPSD
+from .errors import DIVERGENCE_CUTOFF, Diverged, EnsembleTooLarge, MomentDiverged, NonFinite, NotPSD
 from .linalg import _suffix_products, psd_floor, symmetrize
 from .model import SystemSpec, centring_matrix, delta_matrix, fixed_point
 from .schedules import SchedulePair
@@ -116,6 +116,9 @@ from .theory import LSequence, l_sequence
 STREAM_LAYOUT = 5  # version of the noise stream layout described above
 NOISE_CHUNK = 64  # replicas per noise tile
 NOISE_SUM_COLS = 512  # input columns per block of a Rademacher segment's noise-term sum
+# Largest float64 footprint an ensemble may plan: its N x d state, one N x d
+# noise array and one N x d array per checkpoint.
+ENSEMBLE_BYTES_CAP = 2 * 2**30
 
 
 def noise_block_steps(dim: int) -> int:
@@ -619,7 +622,10 @@ def run_ensemble(
     law all N rows cross each segment in one pass, so a divergence names the
     earliest bad step of the ensemble and every replica that crossed at it.
     Samples are stored by replica index, making downstream statistics
-    order-independent.
+    order-independent.  An ensemble whose state, one noise array and
+    checkpoint store, 8 N d (checkpoints + 2) bytes, would pass
+    ENSEMBLE_BYTES_CAP is refused with EnsembleTooLarge before any of it
+    is allocated.
     """
     if N < 2:
         raise ValueError("ensemble needs at least 2 replicas")
@@ -630,6 +636,13 @@ def run_ensemble(
         raise ValueError("checkpoints must be within [0, K]")
 
     n, d = spec.n, spec.n + spec.m
+    estimate = 8 * N * d * (len(cps) + 2)
+    if estimate > ENSEMBLE_BYTES_CAP:
+        raise EnsembleTooLarge(
+            f"ensemble of N={N} replicas at d={d} with {len(cps)} checkpoints needs about "
+            f"{estimate / 2**30:.3g} GiB ({estimate} bytes), above the "
+            f"{ENSEMBLE_BYTES_CAP / 2**30:.3g} GiB cap"
+        )
     z0 = _deviation(spec, init)
     T = centring_matrix(spec)
     block = noise_block_steps(d)

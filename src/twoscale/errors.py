@@ -75,6 +75,10 @@ class MomentDiverged(Diverged):
     crossed = f"second-moment entry above {DIVERGENCE_CUTOFF**2:.0e} in magnitude"
 
 
+class EnsembleTooLarge(TwoScaleError):
+    """An ensemble's state and checkpoint store would exceed the memory cap."""
+
+
 class InsufficientSamples(TwoScaleError):
     """Too few replicas for the requested statistic."""
 

@@ -3,21 +3,25 @@
 Second moments are uncentered: the samples are already centered at the
 deterministic fixed point, and subtracting the sample mean would estimate a
 different quantity.  The normality check standardizes the slow samples by
-the predicted covariance, compares the squared Mahalanobis distances
-against a chi-square law via the Kolmogorov-Smirnov distance, and reports
-per-coordinate skewness and excess kurtosis after whitening.  Thresholds
+the predicted covariance through one eigendecomposition, compares the
+squared Mahalanobis distances against the chi-square law via the
+Kolmogorov-Smirnov distance, and reports per-coordinate skewness and excess
+kurtosis after whitening.  The chi-square law at integer degrees of freedom
+is a finite sum, evaluated in closed form with numpy and `math.erf`; no
+special-function library is loaded.  Thresholds
 sit at the 1% KS critical value and four standard errors of the moment
 estimators, trading a small miss rate for low flakiness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSamples, SingularPrediction
-from .linalg import COND_CAP, factor_covariance, symmetrize
+from .errors import InsufficientSamples, NotPSD, SingularPrediction
+from .linalg import COND_CAP, psd_floor, symmetrize
 
 MIN_COVARIANCE_SAMPLES = 2
 MIN_SE_SAMPLES = 30
@@ -80,10 +84,22 @@ def standard_errors(
 
 
 def chi_square_cdf(x, dof: int) -> np.ndarray:
-    """Regularized lower incomplete gamma evaluation of the chi-square law."""
-    from scipy.special import gammainc  # deferred: scipy.special slows every CLI start
+    """The chi-square law with integer dof, as the finite sum for P(dof/2, x/2).
 
-    return gammainc(dof / 2.0, np.asarray(x, dtype=np.float64) / 2.0)
+    With y = x/2, even dof give 1 - sum_{i<dof/2} e^-y y^i / i!, and odd dof
+    give erf(sqrt y) - sum_{i<(dof-1)/2} e^-y y^(i+1/2) / Gamma(i+3/2); the
+    terms are built by their ratio, with no factorials.
+    """
+    y = np.asarray(x, dtype=np.float64) / 2.0
+    if dof % 2:
+        F = np.vectorize(math.erf, otypes=[float])(np.sqrt(y))
+        term, first = 2.0 * np.exp(-y) * np.sqrt(y / math.pi), 1.5
+    else:
+        F, term, first = np.ones_like(y), np.exp(-y), 1.0
+    for i in range(dof // 2):
+        F = F - term
+        term = term * y / (i + first)
+    return F
 
 
 def ks_distance(values: np.ndarray, cdf) -> float:
@@ -163,18 +179,19 @@ def normality_check(theta_hat, beta_k: float, Sigma11_pred) -> NormalityReport:
     if N < MIN_NORMALITY_SAMPLES:
         raise InsufficientSamples(f"need at least {MIN_NORMALITY_SAMPLES} samples, got {N}")
     Sigma = symmetrize(np.asarray(Sigma11_pred, dtype=np.float64).reshape(n, n))
-    if np.linalg.cond(Sigma) > COND_CAP:
+    w, V = np.linalg.eigh(Sigma)
+    # |w| are Sigma's singular values, so this is its 2-norm condition number;
+    # a NaN entry fails it too.
+    if not np.max(np.abs(w)) <= COND_CAP * np.min(np.abs(w)):
         raise SingularPrediction(f"predicted covariance condition number exceeds {COND_CAP:.0e}")
+    if np.min(w) < psd_floor(Sigma):
+        raise NotPSD(f"predicted covariance has eigenvalue {np.min(w):.3e} below the PSD floor")
+    if np.min(w) <= 0.0:
+        raise SingularPrediction("predicted covariance is not positive definite")
 
-    x = th / np.sqrt(beta_k)
-    try:
-        solved = np.linalg.solve(Sigma, x.T)
-        F = factor_covariance(Sigma)
-        y = np.linalg.solve(F, x.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularPrediction(str(exc)) from exc
-
-    d2 = np.einsum("ni,in->n", x, solved)
+    # Whitened samples y = Lambda^-1/2 V' x, so that |y|^2 = x' Sigma^-1 x.
+    y = (th / np.sqrt(beta_k)) @ V / np.sqrt(w)
+    d2 = np.sum(y * y, axis=1)
     ks = ks_distance(d2, lambda v: chi_square_cdf(v, n))
 
     centered = y - np.mean(y, axis=0)

@@ -720,6 +720,42 @@ def test_module_entry_point_runs_without_warnings(sys_a_config):
     assert "RuntimeWarning" not in proc.stderr
 
 
+FOOTPRINT_PROBE = """
+import json, sys
+import twoscale.cli as cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+code = cli.main(["run", "--config", sys.argv[1], "--mode", "normality",
+                 "--replicas", "100", "--steps", "200", "--seed", "0"])
+print(json.dumps([loaded, code, "scipy.special" in sys.modules]))
+"""
+
+
+def test_cli_import_loads_no_scipy_and_normality_no_scipy_special(mc_config):
+    # A fresh interpreter: this test process has imported scipy already.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_PROBE, mc_config],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, code, special = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == []
+    assert code in (0, 2)  # the run reached its report
+    assert "ks_statistic" in proc.stdout
+    assert not special
+
+
+@pytest.mark.parametrize("mode", ["ensemble", "normality"])
+def test_ensemble_past_the_memory_cap_exits_2_with_one_line(mc_config, capsys, mode):
+    argv = ["run", "--config", mc_config, "--mode", mode, "--replicas", "1000000000"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ensemble of N=1000000000 replicas at d=2 with ")
+
+
 def test_validate_rejects_run_flags(sys_a_config, capsys):
     assert cli.main(["validate", "--config", sys_a_config, "--steps", "5"]) == 1
     assert capsys.readouterr().err == "invalid flag: unrecognized arguments: --steps 5\n"

@@ -30,7 +30,7 @@ from twoscale.engine import (
     _suffix_products,
     noise_block_steps,
 )
-from twoscale.errors import Diverged, NonFinite
+from twoscale.errors import Diverged, EnsembleTooLarge, NonFinite
 from twoscale.linalg import factor_covariance
 from twoscale.model import fixed_point
 
@@ -717,6 +717,18 @@ def test_ensemble_divergence_reports_step_and_replicas():
 def test_ensemble_requires_two_replicas(sys_a, mc_pair):
     with pytest.raises(ValueError):
         run_ensemble(sys_a, mc_pair, 1, 10, [10], base_seed=0)
+
+
+def test_ensemble_past_the_memory_cap_is_refused_before_allocating(sys_a, mc_pair):
+    # 8 * 1e9 * 2 * (3 + 2) bytes = 80 GB; the refusal must come first.
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnsembleTooLarge, match=r"N=1000000000 .* d=2 with 3 checkpoints"):
+            run_ensemble(sys_a, mc_pair, 10**9, 1000, [10, 100, 1000], base_seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("checkpoints", [[], [-1, 10], [11]])

@@ -93,6 +93,14 @@ def test_chi_square_cdf_closed_forms():
     # dof 1: erf(sqrt(x/2))
     expected = np.array([math.erf(math.sqrt(x / 2.0)) for x in xs])
     assert chi_square_cdf(xs, 1) == pytest.approx(expected, rel=1e-12)
+    # every dof 1..20 against the library's regularized incomplete gamma
+    from scipy.special import gammainc
+
+    grid = np.concatenate([[0.0], np.logspace(-12, 3, 1501)])
+    for dof in range(1, 21):
+        ours = chi_square_cdf(grid, dof)
+        assert ours[0] == 0.0
+        assert np.max(np.abs(ours - gammainc(dof / 2.0, grid / 2.0))) <= 1e-14
 
 
 def test_ks_distance_two_point_hand_value():
