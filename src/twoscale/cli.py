@@ -140,16 +140,39 @@ def _check_writable(out: str | None) -> None:
     raise Unwritable(OSError(code, os.strerror(code), out))
 
 
-def _write_lines(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _write_lines(lines: Iterable[str], out: str | None) -> None:
+    """Write each line and a newline to out, or to stdout when out is empty.
+
+    Lines may be a generator: each is written as it comes, so no list of
+    lines and no joined text is held.  The caller finishes every solve and
+    check first, so a refused run opens no file.
+    """
+    lines = (line + "\n" for line in lines)
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     except OSError as exc:
         raise Unwritable(exc) from exc
+
+
+def _matrix_lines(matrices: dict[str, np.ndarray]) -> Iterable[str]:
+    """`matrix,row,col,value` CSV of 2-D float arrays, yielded one matrix row at a time.
+
+    Each yield is the lines of one row, joined by newlines: one %-format
+    over the row's values, with the column tails built once per matrix.
+    The bytes are those of `_csv_lines` on the (name, i, j, value) rows:
+    indices through str, values through %.17g.
+    """
+    yield "matrix,row,col,value"
+    for name, M in matrices.items():
+        tail = [f",{j},%.17g" for j in range(M.shape[1])]
+        name = name.replace("%", "%%")
+        for i in range(M.shape[0]):
+            head = f"{name},{i}"
+            yield (head + ("\n" + head).join(tail)) % tuple(M[i].tolist())
 
 
 def _validation_gate(cfg: RunConfig, advice: str = "") -> int | None:
@@ -233,13 +256,7 @@ def cmd_predict(args) -> int:
         "G1_opt": g1_opt,
         "G_opt": g_opt,
     }
-    rows = (
-        (name, i, j, v)
-        for name, M in matrices.items()
-        for i, row in enumerate(M.tolist())
-        for j, v in enumerate(row)
-    )
-    _write_lines(_csv_lines(["matrix", "row", "col", "value"], rows), args.out)
+    _write_lines(_matrix_lines(matrices), args.out)
     if discrepancy >= PREDICT_CONSISTENCY_TOL:
         print("solver routes disagree beyond tolerance")
         return EXIT_INTERNAL
@@ -255,7 +272,10 @@ def _run_propagate(cfg: RunConfig, args) -> int:
     _write_lines(_covariance_lines(cfg, rows), args.out)
 
     final = trace[-1]
-    err = float(np.linalg.norm(final.Sigma11 - pred.Sigma11) / np.linalg.norm(pred.Sigma11))
+    gap = float(np.linalg.norm(final.Sigma11 - pred.Sigma11))
+    scale = float(np.linalg.norm(pred.Sigma11))
+    # A zero prediction (no noise) is met only by an exactly zero block.
+    err = gap / scale if scale else (0.0 if gap == 0.0 else np.inf)
     print(f"final slow-block relative error vs prediction: {err:.4%} at k={final.k}")
     return EXIT_OK if err < PROPAGATE_TOL else EXIT_TOLERANCE
 

@@ -4,12 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from twoscale import cli, predict_full
+from conftest import random_stable_system
+from twoscale import cli, optimal_gain_covariance, predict_full, predict_reduced
 
 SYS_A_DOC = {
     "n": 1,
@@ -350,6 +354,70 @@ def test_predict_writes_csv_to_stdout_without_out(sys_a_config, capsys):
     assert capsys.readouterr().out.endswith(SYS_A_PREDICT_CSV)
 
 
+def reference_matrix_csv(matrices) -> str:
+    """The text `_csv_lines` gives for the (name, i, j, value) rows of the matrices."""
+    rows = [(name, i, j, float(M[i, j])) for name, M in matrices.items() for i, j in np.ndindex(M.shape)]
+    return "\n".join(cli._csv_lines(["matrix", "row", "col", "value"], rows)) + "\n"
+
+
+def test_matrix_lines_write_the_bytes_of_csv_lines(tmp_path, capsys):
+    rng = np.random.default_rng(9)
+    mats = {"A": rng.standard_normal((2, 3)), "B": rng.standard_normal((1, 1)),
+            "C": rng.standard_normal((3, 2)), "D": rng.standard_normal((2, 4)),
+            "100%": rng.standard_normal((1, 2))}
+    mats["A"][0] = [1e-300, 1e-320, -0.0]
+    mats["C"][:, 0] = [np.inf, -np.inf, 0.0]
+    mats["D"][0] = [1e17, 1e-5, 3.0, -2.0]
+    mats["D"][1, :2] = [np.nan, -1e17]
+    expected = reference_matrix_csv(mats)
+    assert "\n".join(cli._matrix_lines(mats)) + "\n" == expected
+    assert "A,0,2,-0\n" in expected and "D,0,2,3\n" in expected and "100%,0,1," in expected
+    out_path = tmp_path / "m.csv"
+    cli._write_lines(cli._matrix_lines(mats), str(out_path))
+    assert out_path.read_bytes() == expected.encode()
+    cli._write_lines(cli._matrix_lines(mats), None)
+    assert capsys.readouterr().out == expected
+    assert list(cli._matrix_lines({})) == ["matrix,row,col,value"]
+
+
+def test_predict_non_square_blocks_write_the_reference_bytes(tmp_path, capsys):
+    spec = random_stable_system(np.random.default_rng(5), n=2, m=3)
+    doc = dict(spec.to_dict(), beta=SYS_A_DOC["beta"], gamma=SYS_A_DOC["gamma"])
+    path = tmp_path / "n2m3.json"
+    path.write_text(json.dumps(doc))
+    pred = predict_full(spec, 0.1)
+    opt_cov, g1_opt, g_opt = optimal_gain_covariance(spec)
+    expected = reference_matrix_csv({
+        "Delta": pred.Delta, "Q": pred.Q, "Sigma11": pred.Sigma11, "Sigma12": pred.Sigma12,
+        "Sigma22": pred.Sigma22, "Sigma11_reduced": predict_reduced(spec, 0.1),
+        "Sigma11_opt": opt_cov, "G1_opt": g1_opt, "G_opt": g_opt,
+    })
+    assert "Sigma12,1,2," in expected and "G_opt,4,4," in expected
+    out_path = tmp_path / "pred.csv"
+    assert cli.main(["predict", "--config", str(path), "--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == expected.encode()
+    first = capsys.readouterr().out
+    assert first.startswith("full-vs-reduced slow-block discrepancy: ") and first.count("\n") == 1
+    assert cli.main(["predict", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == first + expected
+
+
+def test_matrix_lines_stream_without_holding_the_table(tmp_path):
+    # predict's shapes at n = m = 100: about 4 MB of CSV.
+    rng = np.random.default_rng(3)
+    mats = {f"M{k}": rng.standard_normal((100, 100)) for k in range(8)}
+    mats["G_opt"] = rng.standard_normal((200, 200))
+    out_path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        cli._write_lines(cli._matrix_lines(mats), str(out_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out_path.read_bytes() == reference_matrix_csv(mats).encode()
+    assert peak < 2_000_000
+
+
 def test_predict_gate_refusal_writes_no_csv(tmp_path, capsys):
     doc = dict(SYS_A_DOC, A11=[[-2.0]])
     path = tmp_path / "unstable.json"
@@ -405,6 +473,29 @@ def test_run_propagate_short_horizon_fails_tolerance(sys_a_config, tmp_path):
          "--steps", "500", "--out", str(tmp_path / "t.csv")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("propagated, line, code", [
+    (None, "0.0000%", 0),
+    (np.ones((1, 1)), "inf%", 2),
+])
+def test_run_propagate_against_a_zero_prediction(tmp_path, capsys, monkeypatch, propagated, line, code):
+    # Zero noise keeps the moment at exactly zero from the fixed point, as predicted.
+    doc = dict(SYS_A_DOC, noise={"Gamma11": [[0.0]], "Gamma12": [[0.0]], "Gamma22": [[0.0]]})
+    path = tmp_path / "quiet.json"
+    path.write_text(json.dumps(doc))
+    if propagated is not None:
+        monkeypatch.setattr(cli.engine, "propagate_covariance", lambda *args: [
+            SimpleNamespace(k=2000, beta=0.1, gamma=0.1, Sigma11=propagated,
+                            Sigma12=np.zeros((1, 1)), Sigma22=np.zeros((1, 1)))
+        ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cli.main(["run", "--config", str(path), "--mode", "propagate", "--steps", "2000",
+                        "--out", str(tmp_path / "t.csv")])
+    assert got == code
+    out = capsys.readouterr().out
+    assert out == f"final slow-block relative error vs prediction: {line} at k=2000\n"
 
 
 def test_run_ensemble_small(mc_config, tmp_path, capsys):

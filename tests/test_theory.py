@@ -17,13 +17,14 @@ from twoscale import (
     optimal_gain_covariance,
     predict_full,
     predict_reduced,
+    propagate_covariance,
     run_ensemble,
 )
 from twoscale.errors import AssumptionViolation, DivergentRatio, SingularStep
 from twoscale.linalg import solve_sylvester
 from twoscale import theory
 from twoscale.cli import _csv_lines
-from twoscale.model import delta_matrix, validate_system
+from twoscale.model import delta_matrix, fully_gained_system, validate_system
 from twoscale.theory import noise_equivalent_covariance
 
 
@@ -264,6 +265,34 @@ def test_gain_dominance_on_random_systems():
         min_eig = float(np.min(np.linalg.eigvalsh(S - S_opt)))
         assert min_eig >= -1e-8
         done += 1
+
+
+def test_full_gain_optimum_has_the_optimal_slow_block():
+    rng = np.random.default_rng(47)
+    for _ in range(50):
+        spec = random_stable_system(rng)
+        S_opt, _, G_opt = optimal_gain_covariance(spec)
+        attained = (G_opt @ spec.noise.joint() @ G_opt.T)[: spec.n, : spec.n]
+        assert np.linalg.norm(attained - S_opt) <= 1e-12 * np.linalg.norm(S_opt)
+
+
+@pytest.mark.parametrize("K", [1000, 10000])
+def test_full_gain_optimum_attains_the_optimum_in_propagation(K):
+    """The single-time-scale iteration with gain G_opt = A^{-1} attains Sigma11_opt.
+
+    Under beta = gamma = 1/(1+k), G_opt A = I makes the centring the identity
+    and the moment G Gamma G' / k exactly, so the scaled slow block at K is
+    (1 + 1/K) Sigma11_opt.  The step-size ratio limit is 1 here: the library
+    does not refuse epsilon = 1, although the CLI does.
+    """
+    spec = random_stable_system(np.random.default_rng(7), n=2, m=2)
+    S_opt, _, G_opt = optimal_gain_covariance(spec)
+    unit = StepSchedule(base=1.0, horizon_scale=1.0, exponent=1.0)
+    (cp,) = propagate_covariance(
+        fully_gained_system(spec, G_opt), SchedulePair(slow=unit, fast=unit), None, K, [K]
+    )
+    expected = (1.0 + 1.0 / K) * S_opt
+    assert np.linalg.norm(cp.Sigma11 - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_l_sequence_zero_without_fast_to_slow_coupling(sys_a_pair):
