@@ -125,14 +125,17 @@ class Unwritable(Exception):
 def _check_writable(out: str | None) -> None:
     """Raise Unwritable now if --out cannot be written, so a bad path costs no run.
 
-    Checks that the directory of out exists and that out, or its directory
-    when out does not exist yet, is writable; creates nothing.
+    Checks that the directory of out exists, that out is not a directory,
+    and that out, or its directory when out does not exist yet, is
+    writable; creates nothing.
     """
     if not out:
         return
     folder = os.path.dirname(out) or os.curdir
     if not os.path.isdir(folder):
         code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif os.path.isdir(out):
+        code = errno.EISDIR
     elif not os.access(out if os.path.exists(out) else folder, os.W_OK):
         code = errno.EACCES
     else:

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import SingularA22, SingularSystem
-from .schedules import SchedulePair, validate_schedules
+from .errors import DivergentRatio, SingularA22, SingularSystem
+from .schedules import SchedulePair
 from .validation import CONFIG_KEYS, ValidationReport, reject_unknown_keys
 
 DISTRIBUTIONS = ("gaussian", "scaled-rademacher")
@@ -170,8 +170,8 @@ class SystemSpec:
             noise=NoiseSpec.from_dict(d["noise"]),
         )
         for key in ("n", "m"):
-            if key in d and int(d[key]) != getattr(spec, key):
-                raise ValueError(f"declared {key}={d[key]} does not match matrix shapes")
+            if key in d and (isinstance(d[key], bool) or d[key] != getattr(spec, key)):
+                raise ValueError(f"declared {key}={d[key]!r} does not match matrix shapes")
         return spec
 
 
@@ -298,7 +298,8 @@ def stability_checks(spec: SystemSpec, beta_bar: float) -> ValidationReport:
     """Stability of -A22, conditioning of A22, and stability of -Delta and -(Delta - beta_bar/2 I).
 
     Each stability check reports the spectral abscissa it measured and
-    passes when that is below its threshold, -HURWITZ_MARGIN.
+    passes when that is below its threshold, -HURWITZ_MARGIN; the shifted
+    check, the one that reads beta_bar, notes its value.
     `fast-matrix-conditioned` reports cond(A22) against COND_CAP.  When it
     fails, Delta = A11 - A12 A22^{-1} A21 does not exist, so the two checks
     on it fail with a note and no measured value.  `validate_system` lists
@@ -333,16 +334,25 @@ def stability_checks(spec: SystemSpec, beta_bar: float) -> ValidationReport:
     delta = delta_matrix(spec)
     stable("reduced-matrix-stable", -delta, "-Delta")
     stable("shifted-reduced-matrix-stable", -(delta - 0.5 * beta_bar * np.eye(spec.n)),
-           "-(Delta - beta_bar/2 I)")
+           f"-(Delta - beta_bar/2 I), beta_bar = {beta_bar:.6g}")
     return report
 
 
 def validate_system(spec: SystemSpec, pair: SchedulePair) -> ValidationReport:
-    """The stability checks, then the schedule checks.
+    """The admissibility report: `stability_checks`, then `step-ratio-limit-exists`.
 
-    The joint noise covariance is not listed: `NoiseSpec` refuses one that is
-    not PSD, so no spec that exists could fail that check.
+    It lists only checks that can fail.  The ratio check measures epsilon
+    and notes its regime, or fails when the ratio diverges; beta_bar is
+    noted by the shifted stability check.  The joint noise covariance is not
+    listed: `NoiseSpec` refuses one that is not PSD, so no spec that exists
+    could fail that check.
     """
     report = stability_checks(spec, pair.beta_bar)
-    report.extend(validate_schedules(pair))
+    try:
+        eps = pair.epsilon
+    except DivergentRatio:
+        report.add("step-ratio-limit-exists", False, note="slow exponent below fast exponent: ratio diverges")
+    else:
+        report.add("step-ratio-limit-exists", True, measured=eps,
+                   note="single-time-scale regime" if eps > 0.0 else "two-time-scale regime")
     return report

@@ -8,10 +8,12 @@ whose inverse grows linearly; exponents below 1 decay slower and have
 vanishing inverse-difference limits.  A pair of schedules carries two
 derived limits:
 
-* epsilon: the limit of slow(k) / fast(k), which must exist and is zero
-  exactly when the slow exponent is strictly larger;
-* beta_bar: the limit of 1/slow(k+1) - 1/slow(k), nonzero only for
-  exponent-1 slow schedules, where it equals 1 / (horizon_scale * base).
+* epsilon: the limit of slow(k) / fast(k), which must exist and is zero,
+  the two-time-scale regime, exactly when the slow exponent is strictly
+  larger;
+* beta_bar: the limit of 1/slow(k+1) - 1/slow(k), which shifts the slow
+  drift to Delta - beta_bar/2 I; nonzero only for exponent-1 slow
+  schedules, where it equals 1 / (horizon_scale * base).
 
 Both limits are computed analytically from the parameters so downstream
 solvers are exact; numerical limiting appears only in the tests.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentRatio
-from .validation import CONFIG_KEYS, ValidationReport, reject_unknown_keys
+from .validation import CONFIG_KEYS, reject_unknown_keys
 
 
 @dataclass(frozen=True)
@@ -65,34 +67,6 @@ class StepSchedule:
         return cls(base=float(d["base"]), horizon_scale=float(d["tau"]), exponent=float(d["alpha"]))
 
 
-def beta_bar_limit(schedule: StepSchedule) -> float:
-    """Limit of 1/value(k+1) - 1/value(k).
-
-    Equals 1/(horizon_scale*base) for exponent 1 and vanishes for smaller
-    exponents, whose inverse grows sublinearly.
-    """
-    if schedule.exponent == 1.0:
-        return 1.0 / (schedule.horizon_scale * schedule.base)
-    return 0.0
-
-
-def epsilon_limit(pair: "SchedulePair") -> float:
-    """Limit of slow(k)/fast(k).
-
-    Zero when the slow exponent is strictly larger; for equal exponents the
-    ratio tends to (slow.base/fast.base) * (slow.tau/fast.tau)**exponent.
-    A slow exponent below the fast one makes the ratio diverge.
-    """
-    slow, fast = pair.slow, pair.fast
-    if slow.exponent > fast.exponent:
-        return 0.0
-    if slow.exponent == fast.exponent:
-        return (slow.base / fast.base) * (slow.horizon_scale / fast.horizon_scale) ** slow.exponent
-    raise DivergentRatio(
-        f"slow exponent {slow.exponent} < fast exponent {fast.exponent}: step ratio diverges"
-    )
-
-
 @dataclass(frozen=True)
 class SchedulePair:
     """Slow/fast schedule pair with its analytic ratio and inverse-growth limits."""
@@ -102,11 +76,25 @@ class SchedulePair:
 
     @property
     def epsilon(self) -> float:
-        return epsilon_limit(self)
+        """Limit of slow(k)/fast(k); DivergentRatio when the slow exponent is the smaller.
+
+        For equal exponents it is (slow.base/fast.base) * (slow.tau/fast.tau)**exponent.
+        """
+        slow, fast = self.slow, self.fast
+        if slow.exponent > fast.exponent:
+            return 0.0
+        if slow.exponent == fast.exponent:
+            return (slow.base / fast.base) * (slow.horizon_scale / fast.horizon_scale) ** slow.exponent
+        raise DivergentRatio(
+            f"slow exponent {slow.exponent} < fast exponent {fast.exponent}: step ratio diverges"
+        )
 
     @property
     def beta_bar(self) -> float:
-        return beta_bar_limit(self.slow)
+        """Limit of 1/slow(k+1) - 1/slow(k): 1/(tau*base) for a slow exponent of 1, else 0."""
+        if self.slow.exponent == 1.0:
+            return 1.0 / (self.slow.horizon_scale * self.slow.base)
+        return 0.0
 
     def to_dict(self) -> dict:
         return {"beta": self.slow.to_dict(), "gamma": self.fast.to_dict()}
@@ -117,32 +105,3 @@ class SchedulePair:
         reject_unknown_keys(d, CONFIG_KEYS, "configuration")
         return cls(slow=StepSchedule.from_dict(d["beta"]), fast=StepSchedule.from_dict(d["gamma"]))
 
-
-def validate_schedules(pair: SchedulePair) -> ValidationReport:
-    """The schedule checks that can decide something: the two limits.
-
-    Failures are reported, never raised.  The ratio limit epsilon must exist;
-    beta_bar always does and is listed for the shifted stability check that
-    reads it.  When epsilon exists, `time-scale-separation` records it and
-    notes whether the pair is in the two-time-scale regime (epsilon = 0).
-    """
-    report = ValidationReport()
-    try:
-        eps = epsilon_limit(pair)
-    except DivergentRatio:
-        eps = None
-    report.add(
-        "step-ratio-limit-exists",
-        eps is not None,
-        measured=eps,
-        note="" if eps is not None else "slow exponent below fast exponent: ratio diverges",
-    )
-    report.add("slow-inverse-growth-limit", True, measured=beta_bar_limit(pair.slow))
-    if eps is not None:
-        report.add(
-            "time-scale-separation",
-            True,
-            measured=eps,
-            note="single-time-scale regime" if eps > 0.0 else "two-time-scale regime",
-        )
-    return report

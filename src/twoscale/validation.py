@@ -56,9 +56,6 @@ class ValidationReport:
     ) -> None:
         self.checks.append(Check(name, bool(passed), measured, threshold, note))
 
-    def extend(self, other: "ValidationReport") -> None:
-        self.checks.extend(other.checks)
-
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)

@@ -90,8 +90,6 @@ def test_validate_lists_only_checks_that_can_fail(sys_a_config, capsys):
         "reduced-matrix-stable",
         "shifted-reduced-matrix-stable",
         "step-ratio-limit-exists",
-        "slow-inverse-growth-limit",
-        "time-scale-separation",
         "overall",
     ]
 
@@ -264,11 +262,30 @@ def test_unwritable_out_exits_1_naming_the_output(
     assert sorted(tmp_path.rglob("*")) == before
 
 
-def test_out_that_is_a_directory_exits_1_after_the_run(sys_a_config, tmp_path, capsys):
-    # Passes the early check (its folder is writable); opening it fails at the end.
-    argv = ["run", "--mode", "propagate", "--steps", "1000", "--config", sys_a_config]
-    assert cli.main([*argv, "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("cannot write output: ")
+@pytest.mark.parametrize("argv", [["predict"], ["run", "--mode", "propagate", "--steps", "1000000"]],
+                         ids=["predict", "run"])
+def test_out_that_is_a_directory_exits_1_before_the_run(sys_a_config, tmp_path, capsys, monkeypatch,
+                                                        argv):
+    def not_called(*args, **kwargs):
+        raise AssertionError("the run started before the directory --out was refused")
+
+    monkeypatch.setattr(cli.theory, "predict_full", not_called)
+    monkeypatch.setattr(cli.engine, "propagate_covariance", not_called)
+    assert cli.main([*argv, "--config", sys_a_config, "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("cannot write output: [Errno 21] Is a directory")
+
+
+@pytest.mark.parametrize("n", [1.7, True, "1"], ids=["fraction", "bool", "string"])
+def test_declared_dimension_must_equal_the_shape(tmp_path, capsys, n):
+    # System A has n = 1: a fractional, boolean or string n is not truncated to it.
+    path = tmp_path / "declared.json"
+    path.write_text(json.dumps(dict(SYS_A_DOC, n=n)))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert f"declared n={n!r} does not match matrix shapes" in capsys.readouterr().err
+    path.write_text(json.dumps(dict(SYS_A_DOC, n=1.0)))
+    assert cli.main(["validate", "--config", str(path)]) == 0
 
 
 def test_missing_key_exits_1(tmp_path):
@@ -753,8 +770,6 @@ def test_unstable_averaging_document_gets_the_stability_report(tmp_path, capsys,
         "reduced-matrix-stable",
         "shifted-reduced-matrix-stable",
         "step-ratio-limit-exists",
-        "slow-inverse-growth-limit",
-        "time-scale-separation",
     ]
     assert lines[0].startswith("fast-matrix-stable: FAIL  measured=1  ")
     assert all(": pass" in line for line in lines[1:-1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twoscale import normality_check, scaled_covariances
-from twoscale.errors import InsufficientSamples, SingularPrediction
+from twoscale.errors import InsufficientSamples, NotPSD, SingularPrediction
 from twoscale.estimator import chi_square_cdf, ks_distance, standard_errors
 
 
@@ -167,6 +167,15 @@ def test_normality_check_singular_prediction():
     x = rng.standard_normal((200, 2))
     with pytest.raises(SingularPrediction):
         normality_check(x, 1.0, np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_normality_check_refuses_an_indefinite_prediction():
+    x = np.random.default_rng(3).standard_normal((200, 2))
+    with pytest.raises(NotPSD):
+        normality_check(x, 1.0, np.diag([1.0, -1.0]))
+    # Within the PSD floor, yet not positive definite.
+    with pytest.raises(SingularPrediction, match="not positive definite"):
+        normality_check(x, 1.0, np.diag([1.0, -1e-11]))
 
 
 def test_normality_report_serialization():

@@ -12,7 +12,7 @@ from twoscale import (
     averaging_system,
     gained_system,
 )
-from twoscale.errors import AssumptionViolation, NotPSD, SingularA22
+from twoscale.errors import AssumptionViolation, NotPSD, SingularA22, SingularDelta, SingularSystem
 from twoscale.model import (
     centring_matrix,
     delta_matrix,
@@ -22,7 +22,7 @@ from twoscale.model import (
     stability_checks,
     validate_system,
 )
-from twoscale.theory import noise_equivalent_covariance, predict_full
+from twoscale.theory import noise_equivalent_covariance, optimal_gain_covariance, predict_full
 
 
 def test_fixed_point_reference_system(sys_a):
@@ -239,6 +239,49 @@ def test_system_spec_rejects_inconsistent_shapes(sys_a):
 def test_noise_spec_rejects_indefinite_joint():
     with pytest.raises(NotPSD):
         NoiseSpec(Gamma11=[[1.0]], Gamma12=[[5.0]], Gamma22=[[1.0]])
+
+
+def test_noise_spec_rejects_inconsistent_block_shapes():
+    with pytest.raises(ValueError, match="inconsistent noise shapes"):
+        NoiseSpec(Gamma11=np.eye(2), Gamma12=[[0.0]], Gamma22=[[1.0]])
+
+
+@pytest.mark.parametrize("block", ["Gamma11", "Gamma22"])
+def test_noise_spec_rejects_asymmetric_diagonal_block(block):
+    blocks = dict(Gamma11=np.eye(2), Gamma12=np.zeros((2, 2)), Gamma22=np.eye(2))
+    blocks[block] = [[1.0, 0.5], [0.0, 1.0]]
+    with pytest.raises(ValueError, match=f"{block} is not symmetric"):
+        NoiseSpec(**blocks)
+
+
+def _scalar_system(a11, a12, a21, a22) -> SystemSpec:
+    return SystemSpec(
+        A11=[[a11]], A12=[[a12]], A21=[[a21]], A22=[[a22]], b1=[1.0], b2=[1.0],
+        noise=NoiseSpec(Gamma11=[[1.0]], Gamma12=[[0.0]], Gamma22=[[1.0]]),
+    )
+
+
+def test_ill_conditioned_block_matrix_is_singular_system():
+    # Delta = 1 and A22 = 1 are fine, but cond([[1, 1e13], [0, 1]]) is about 1e26.
+    spec = _scalar_system(1.0, 1e13, 0.0, 1.0)
+    with pytest.raises(SingularSystem):
+        fixed_point(spec)
+    with pytest.raises(SingularSystem):
+        optimal_gain_covariance(spec)
+
+
+def test_singular_delta_is_refused_by_the_optimal_gain():
+    # Delta = 1 - 1 * 1 * 1 = 0: the inverse itself fails.
+    with pytest.raises(SingularDelta):
+        optimal_gain_covariance(_scalar_system(1.0, 1.0, 1.0, 1.0))
+    # Delta = diag(1, 1e-14) inverts, but its condition number exceeds COND_CAP.
+    spec = SystemSpec(
+        A11=np.diag([1.0, 1e-14]), A12=np.zeros((2, 1)), A21=np.zeros((1, 2)), A22=[[1.0]],
+        b1=[1.0, 1.0], b2=[1.0],
+        noise=NoiseSpec(Gamma11=np.eye(2), Gamma12=np.zeros((2, 1)), Gamma22=[[1.0]]),
+    )
+    with pytest.raises(SingularDelta, match="condition number"):
+        optimal_gain_covariance(spec)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -5,7 +5,7 @@ import pytest
 
 from twoscale import SchedulePair, StepSchedule
 from twoscale.errors import DivergentRatio
-from twoscale.schedules import beta_bar_limit, epsilon_limit, validate_schedules
+from twoscale.model import validate_system
 
 
 def test_step_value_at_zero_is_base():
@@ -61,23 +61,23 @@ def test_partial_sums_grow_without_bound():
 
 def test_epsilon_limit_zero_for_separated_exponents():
     pair = SchedulePair(slow=StepSchedule(1.0, 1.0, 1.0), fast=StepSchedule(1.0, 10.0, 0.7))
-    assert epsilon_limit(pair) == 0.0
+    assert pair.epsilon == 0.0
 
 
 def test_epsilon_limit_identical_schedules_is_one():
     s = StepSchedule(0.3, 5.0, 0.8)
-    assert epsilon_limit(SchedulePair(slow=s, fast=s)) == pytest.approx(1.0)
+    assert SchedulePair(slow=s, fast=s).epsilon == pytest.approx(1.0)
 
 
 def test_epsilon_limit_constant_ratio_pair():
     pair = SchedulePair(slow=StepSchedule(0.2, 10.0, 0.7), fast=StepSchedule(1.0, 10.0, 0.7))
-    assert epsilon_limit(pair) == pytest.approx(0.2, abs=1e-15)
+    assert pair.epsilon == pytest.approx(0.2, abs=1e-15)
 
 
 def test_epsilon_limit_equal_exponent_different_horizons():
     pair = SchedulePair(slow=StepSchedule(1.0, 20.0, 0.8), fast=StepSchedule(1.0, 10.0, 0.8))
     expected = 2.0**0.8
-    assert epsilon_limit(pair) == pytest.approx(expected, rel=1e-12)
+    assert pair.epsilon == pytest.approx(expected, rel=1e-12)
     # numerical ratio at large k agrees
     k = 10**8
     assert pair.slow.value(k) / pair.fast.value(k) == pytest.approx(expected, rel=1e-6)
@@ -86,31 +86,34 @@ def test_epsilon_limit_equal_exponent_different_horizons():
 def test_epsilon_limit_divergent_raises():
     pair = SchedulePair(slow=StepSchedule(1.0, 1.0, 0.6), fast=StepSchedule(1.0, 1.0, 0.8))
     with pytest.raises(DivergentRatio):
-        epsilon_limit(pair)
+        pair.epsilon
 
 
 def test_epsilon_zero_numerical_agreement():
     pair = SchedulePair(slow=StepSchedule(1.0, 10.0, 1.0), fast=StepSchedule(1.0, 10.0, 0.7))
-    assert epsilon_limit(pair) == 0.0
+    assert pair.epsilon == 0.0
     ratio = pair.slow.value(10**8) / pair.fast.value(10**8)
     assert ratio < 1e-2 * max(1.0, pair.slow.base / pair.fast.base)
 
 
 def test_beta_bar_limit_exponent_one():
-    assert beta_bar_limit(StepSchedule(1.0, 1.0, 1.0)) == pytest.approx(1.0)
-    assert beta_bar_limit(StepSchedule(0.5, 4.0, 1.0)) == pytest.approx(0.5)
+    fast = StepSchedule(1.0, 1.0, 0.7)
+    assert SchedulePair(slow=StepSchedule(1.0, 1.0, 1.0), fast=fast).beta_bar == pytest.approx(1.0)
+    assert SchedulePair(slow=StepSchedule(0.5, 4.0, 1.0), fast=fast).beta_bar == pytest.approx(0.5)
 
 
 def test_beta_bar_limit_sublinear_is_zero():
-    assert beta_bar_limit(StepSchedule(1.0, 1.0, 0.7)) == 0.0
+    s = StepSchedule(1.0, 1.0, 0.7)
+    assert SchedulePair(slow=s, fast=s).beta_bar == 0.0
 
 
 def test_beta_bar_limit_matches_finite_difference():
     sched = StepSchedule(0.1, 10.0, 1.0)
-    assert beta_bar_limit(sched) == pytest.approx(1.0)
+    pair = SchedulePair(slow=sched, fast=StepSchedule(1.0, 10.0, 0.7))
+    assert pair.beta_bar == pytest.approx(1.0)
     k = 10**6
     diff = 1.0 / sched.value(k + 1) - 1.0 / sched.value(k)
-    assert diff == pytest.approx(beta_bar_limit(sched), rel=1e-6)
+    assert diff == pytest.approx(pair.beta_bar, rel=1e-6)
 
 
 def test_pair_properties_and_round_trip():
@@ -130,25 +133,29 @@ def test_pair_from_dict_refuses_stray_keys(sys_a):
         SchedulePair.from_dict({**doc, "gama": doc["gamma"]})
 
 
-def test_validate_schedules_reference_pair_passes():
+def test_validate_schedules_reference_pair_passes(sys_a):
     pair = SchedulePair(slow=StepSchedule(1.0, 10.0, 1.0), fast=StepSchedule(1.0, 10.0, 0.7))
-    report = validate_schedules(pair)
+    report = validate_system(sys_a, pair)
     assert report.passed
-    assert report["step-ratio-limit-exists"].measured == 0.0
-    assert report["slow-inverse-growth-limit"].measured == pytest.approx(0.1)
+    check = report["step-ratio-limit-exists"]
+    assert check.measured == 0.0
+    assert check.note == "two-time-scale regime"
+    assert report["shifted-reduced-matrix-stable"].note.endswith("beta_bar = 0.1")
 
 
-def test_validate_schedules_single_time_scale_flagged():
+def test_validate_schedules_single_time_scale_flagged(sys_a):
     s = StepSchedule(1.0, 1.0, 0.8)
-    report = validate_schedules(SchedulePair(slow=s, fast=s))
+    report = validate_system(sys_a, SchedulePair(slow=s, fast=s))
     assert report.passed
-    check = report["time-scale-separation"]
+    check = report["step-ratio-limit-exists"]
     assert check.measured == pytest.approx(1.0)
     assert "single-time-scale" in check.note
 
 
-def test_validate_schedules_divergent_ratio_fails():
+def test_validate_schedules_divergent_ratio_fails(sys_a):
     pair = SchedulePair(slow=StepSchedule(1.0, 1.0, 0.6), fast=StepSchedule(1.0, 1.0, 0.9))
-    report = validate_schedules(pair)
+    report = validate_system(sys_a, pair)
     assert not report.passed
-    assert not report["step-ratio-limit-exists"].passed
+    check = report["step-ratio-limit-exists"]
+    assert not check.passed and check.measured is None
+    assert check.note == "slow exponent below fast exponent: ratio diverges"
