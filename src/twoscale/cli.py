@@ -37,7 +37,7 @@ from . import engine, estimator, theory
 from .errors import AssumptionViolation, Diverged, TwoScaleError
 from .model import SystemSpec, averaging_system, validate_system
 from .schedules import SchedulePair, StepSchedule
-from .validation import reject_unknown_keys
+from .validation import numbers, reject_unknown_keys
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -85,7 +85,8 @@ def load_config(path: str) -> RunConfig:
     doc = _read_object(path)
     if "A" in doc:
         reject_unknown_keys(doc, AVERAGING_KEYS, "averaging configuration")
-        return RunConfig(averaging_system(doc["A"], doc["b"], doc["Gamma"]), AVERAGING_SCHEDULES)
+        A, b, Gamma = (numbers(doc[key], key) for key in AVERAGING_KEYS)
+        return RunConfig(averaging_system(A, b, Gamma), AVERAGING_SCHEDULES)
     return RunConfig(system=SystemSpec.from_dict(doc), schedules=SchedulePair.from_dict(doc))
 
 

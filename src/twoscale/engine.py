@@ -15,7 +15,12 @@ stacks (R_j N_j)' for the suffix products R_j = M_{L-1} ... M_{j+1}.
 
 Segments end at every noise-tile edge and at every checkpoint or recorded
 step, so each segment reads inside one tile and every reported state is the
-exact composition of its steps.  Step maps are built once per tile, as one
+exact composition of its steps.  Each run of consecutive equal-length
+segments in a tile, as evenly spaced records give, shares one batched scan:
+`_compose` takes the run's maps as an (L, B, d, d) stack and makes each
+product with the same per-matrix BLAS call on the same operands, so every
+(P, W) has the bits of a scan of its own.  A tile of one segment takes its
+maps as they are, with no gather.  Step maps are built once per tile, as one
 (L, 2) x (2, d^2) product of the tile's step sizes with coefficient rows
 fixed for the run, exact because each entry has one nonzero term, and
 sliced per segment.  Exact propagation updates the second moment as
@@ -206,17 +211,22 @@ def _compose(M: np.ndarray, N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Compose the maps z -> M_j z + N_j u_j of one segment, index 0 first.
 
     Returns (P, W) with z_b = P z_a + W' u for the inputs u flattened
-    step-major.  Both are fresh arrays, so a plan that keeps them holds no
-    scan buffers.
+    step-major.  M and N may carry a batch axis after the step axis,
+    (L, B, d, d) and (L, B, d, e) for B segments of L steps each; then P is
+    (B, d, d) and W is (B, L e, d), and every product is the same
+    per-matrix BLAS call on the same operands as one segment at a time.
+    Both are fresh arrays, so a plan that keeps them holds no scan buffers.
     """
-    L, d, e = N.shape
+    L, d, e = len(N), M.shape[-1], N.shape[-1]
     if L == 1:
-        return M[0].copy(), N[0].T.copy()
+        return M[0].copy(), N[0].swapaxes(-1, -2).copy()
     S = _suffix_products(M.copy())
-    Wt = np.empty((L, e, d))  # block j is (R_j N_j)'
-    np.matmul(N[:-1].transpose(0, 2, 1), S[1:].transpose(0, 2, 1), out=Wt[:-1])
-    Wt[-1] = N[-1].T
-    return S[0].copy(), Wt.reshape(L * e, d)
+    batch = N.shape[1:-2]
+    Wt = np.empty((*batch, L, e, d))  # block j of segment i is (R_j N_j)'
+    steps = Wt.swapaxes(0, -3)  # step axis first, as in M and N
+    np.matmul(N[:-1].swapaxes(-1, -2), S[1:].swapaxes(-1, -2), out=steps[:-1])
+    steps[-1] = N[-1].swapaxes(-1, -2)
+    return S[0].copy(), Wt.reshape(*batch, L * e, d)
 
 
 def _step_maps(spec: SystemSpec, pair: SchedulePair):
@@ -264,15 +274,35 @@ def _segments(maps, start: int, stop: int, block: int, edges):
     Segments end at every noise-tile edge (a multiple of block) and at every
     value of the sorted sequence edges, so a // block == (b - 1) // block.
     maps(t0, t1) returns the per-step maps (M, N) of the steps [t0, t1); it
-    is called once per tile.
+    is called once per tile.  Each run of consecutive segments of one
+    length in a tile is composed in one batched `_compose` call; a run of
+    one segment takes its slices of the tile's maps unbatched, and a tile of
+    one segment takes the maps as they are, without grouping.
     """
     t0 = start
     while t0 < stop:
         t1 = min(stop, (t0 // block + 1) * block)
         M, N = maps(t0, t1)
         bounds = [t0, *edges[bisect_right(edges, t0) : bisect_left(edges, t1)], t1]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            yield (a, b, *_compose(M[a - t0 : b - t0], N[a - t0 : b - t0]))
+        if len(bounds) == 2:  # one segment, the whole tile
+            yield (t0, t1, *_compose(M, N))
+            t0 = t1
+            continue
+        a = t0
+        for L, run in itertools.groupby(y - x for x, y in zip(bounds, bounds[1:])):
+            count = len(list(run))
+            Ms, Ns = M[a - t0 : a - t0 + count * L], N[a - t0 : a - t0 + count * L]
+            if count == 1:
+                yield (a, a + L, *_compose(Ms, Ns))
+            else:
+                # (L, count, ...) views: step axis first, one segment per batch entry.
+                P, W = _compose(
+                    Ms.reshape(count, L, *M.shape[1:]).swapaxes(0, 1),
+                    Ns.reshape(count, L, *N.shape[1:]).swapaxes(0, 1),
+                )
+                for i in range(count):
+                    yield (a + i * L, a + (i + 1) * L, P[i], W[i])
+            a += count * L
         t0 = t1
 
 

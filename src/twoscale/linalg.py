@@ -3,6 +3,8 @@
 Sylvester equations go to scipy's Bartels-Stewart solver (1972), which
 reduces both coefficients to Schur form: O(p^3 + q^3) time and O(pq)
 memory, where vectorizing the equation would need a (pq) x (pq) system.
+A Lyapunov equation, B = A', takes one Schur form of A for both sides and
+scipy's own triangular solve and products, so it returns scipy's bytes.
 Each solution is then checked against the equation itself, so a singular or
 ill-conditioned pencil fails loudly instead of returning garbage.  All
 tolerances are relative to (1 + norm of the data) so they behave sensibly
@@ -73,10 +75,12 @@ def solve_sylvester(A, B, C) -> np.ndarray:
 
     A is p x p, B is q x q, C is p x q.  Unique solvability requires the
     spectra of A and -B to be disjoint; a shared eigenvalue surfaces as a
-    residual far above tolerance.
+    residual far above tolerance.  A Lyapunov equation, B = A' bit for bit,
+    takes one real Schur form A = U R U' for both sides and returns the
+    bytes of scipy's `solve_sylvester(A, A', C)`.
     """
     # Deferred: importing scipy.linalg adds tens of milliseconds to every CLI start.
-    from scipy.linalg import solve_sylvester as bartels_stewart
+    import scipy.linalg
 
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -88,7 +92,17 @@ def solve_sylvester(A, B, C) -> np.ndarray:
         raise NonFinite("Sylvester data has non-finite entries")
 
     try:
-        X = bartels_stewart(A, B, C)
+        if p and p == q and A.tobytes() == B.T.tobytes():
+            # scipy's own steps with the Schur form of B' = A reused:
+            # R Y + Y R' = U' C U, then X = U (scale Y) U'.
+            r, u = scipy.linalg.schur(A, output="real")
+            trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (r, r, C))
+            y, scale, info = trsyl(r, r, np.dot(np.dot(u.T, C), u), tranb="C")
+            if info < 0:
+                raise np.linalg.LinAlgError(f"Illegal value encountered in the {-info} term")
+            X = np.dot(np.dot(u, scale * y), u.T)
+        else:
+            X = scipy.linalg.solve_sylvester(A, B, C)
     except np.linalg.LinAlgError as exc:
         raise SingularPencil(f"Sylvester solve failed: {exc}") from exc
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import DivergentRatio, SingularA22, SingularSystem
 from .schedules import SchedulePair
-from .validation import CONFIG_KEYS, ValidationReport, reject_unknown_keys
+from .validation import CONFIG_KEYS, ValidationReport, numbers, reject_unknown_keys
 
 DISTRIBUTIONS = ("gaussian", "scaled-rademacher")
 
@@ -83,9 +83,7 @@ class NoiseSpec:
     def from_dict(cls, d: dict) -> "NoiseSpec":
         reject_unknown_keys(d, ("Gamma11", "Gamma12", "Gamma22", "distribution"), "noise")
         return cls(
-            Gamma11=d["Gamma11"],
-            Gamma12=d["Gamma12"],
-            Gamma22=d["Gamma22"],
+            **{key: numbers(d[key], key) for key in ("Gamma11", "Gamma12", "Gamma22")},
             distribution=d.get("distribution", "gaussian"),
         )
 
@@ -103,6 +101,8 @@ class SystemSpec:
     noise: NoiseSpec
     # cond(A22), reported by `stability_checks` and read by every solve with A22.
     a22_cond: float = field(init=False, repr=False, compare=False)
+    # The checks of `stability_checks` per beta_bar, evaluated once each.
+    _stability: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "A11", linalg.as_matrix(self.A11, "A11"))
@@ -161,12 +161,7 @@ class SystemSpec:
         """Read the system's keys of a configuration document, refusing any key outside CONFIG_KEYS."""
         reject_unknown_keys(d, CONFIG_KEYS, "configuration")
         spec = cls(
-            A11=d["A11"],
-            A12=d["A12"],
-            A21=d["A21"],
-            A22=d["A22"],
-            b1=d["b1"],
-            b2=d["b2"],
+            **{key: numbers(d[key], key) for key in ("A11", "A12", "A21", "A22", "b1", "b2")},
             noise=NoiseSpec.from_dict(d["noise"]),
         )
         for key in ("n", "m"):
@@ -304,8 +299,16 @@ def stability_checks(spec: SystemSpec, beta_bar: float) -> ValidationReport:
     fails, Delta = A11 - A12 A22^{-1} A21 does not exist, so the two checks
     on it fail with a note and no measured value.  `validate_system` lists
     these checks, and the limit-equation solvers in `theory` refuse a system
-    that fails any of them.
+    that fails any of them.  The checks are evaluated once per spec and
+    beta_bar and kept on the spec; each call returns a fresh report of them.
     """
+    checks = spec._stability.get(beta_bar)
+    if checks is None:
+        checks = spec._stability[beta_bar] = tuple(_stability_report(spec, beta_bar).checks)
+    return ValidationReport(list(checks))
+
+
+def _stability_report(spec: SystemSpec, beta_bar: float) -> ValidationReport:
     report = ValidationReport()
     threshold = -linalg.HURWITZ_MARGIN
 

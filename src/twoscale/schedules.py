@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentRatio
-from .validation import CONFIG_KEYS, reject_unknown_keys
+from .validation import CONFIG_KEYS, numbers, reject_unknown_keys
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,8 @@ class StepSchedule:
     @classmethod
     def from_dict(cls, d: dict) -> "StepSchedule":
         reject_unknown_keys(d, ("base", "tau", "alpha"), "schedule")
-        return cls(base=float(d["base"]), horizon_scale=float(d["tau"]), exponent=float(d["alpha"]))
+        base, tau, alpha = (float(numbers(d[key], f"schedule {key}")) for key in ("base", "tau", "alpha"))
+        return cls(base=base, horizon_scale=tau, exponent=alpha)
 
 
 @dataclass(frozen=True)

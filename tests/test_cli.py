@@ -975,3 +975,60 @@ def test_geometric_checkpoints():
     assert cli.geometric_checkpoints(50) == [50]
     assert cli.geometric_checkpoints(100) == [100]
     assert cli.geometric_checkpoints(2500) == [100, 1000, 2500]
+
+
+def test_predict_evaluates_the_stability_checks_once(sys_a_config, monkeypatch, capsys):
+    # The CLI gate, predict_full and predict_reduced share one evaluation:
+    # three spectral abscissas (-A22, -Delta, shifted -Delta), not nine.
+    import twoscale.linalg
+
+    calls = []
+    abscissa = twoscale.linalg.spectral_abscissa
+
+    def counting_abscissa(M):
+        calls.append(np.shape(M))
+        return abscissa(M)
+
+    monkeypatch.setattr(twoscale.linalg, "spectral_abscissa", counting_abscissa)
+    assert cli.main(["predict", "--config", sys_a_config]) == 0
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "patch, named",
+    [
+        ({"beta": {"base": True, "tau": 10.0, "alpha": 1.0}}, "schedule base holds True"),
+        ({"beta": {"base": 1.0, "tau": "10", "alpha": 1.0}}, "schedule tau holds '10'"),
+        ({"beta": {"base": 1.0, "tau": 10.0, "alpha": "1"}}, "schedule alpha holds '1'"),
+        ({"A11": [["2.0"]]}, "A11 holds '2.0'"),
+        ({"b1": [True]}, "b1 holds True"),
+        ({"noise": dict(SYS_A_DOC["noise"], Gamma11=[["1"]])}, "Gamma11 holds '1'"),
+        ({"A22": [[None]]}, "A22 holds None"),
+    ],
+    ids=["bool-base", "string-tau", "string-alpha", "string-matrix", "bool-vector", "string-noise",
+         "null-matrix"],
+)
+def test_config_number_that_is_not_a_number_exits_1(tmp_path, capsys, patch, named):
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps({**SYS_A_DOC, **patch}))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert f"malformed configuration: {named}, which is not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, shown", [("A", [["1"]], "'1'"), ("b", [False], "False"), ("Gamma", [[True]], "True")]
+)
+def test_averaging_number_that_is_not_a_number_exits_1(tmp_path, capsys, key, value, shown):
+    path = tmp_path / "coerced_averaging.json"
+    path.write_text(json.dumps({"A": [[1.0]], "b": [0.0], "Gamma": [[1.0]], key: value}))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert f"malformed configuration: {key} holds {shown}, which is not a number" in capsys.readouterr().err
+
+
+def test_integer_config_numbers_are_read(tmp_path):
+    # JSON integers are numbers: system A written with integers validates.
+    doc = json.loads(json.dumps(SYS_A_DOC), parse_float=lambda s: int(float(s)))
+    doc["gamma"]["alpha"] = 0.7
+    path = tmp_path / "integers.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--config", str(path)]) == 0

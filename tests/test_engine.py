@@ -1207,3 +1207,71 @@ def test_standard_tile_keys_do_not_alias():
         assert not np.array_equal(tile, _standard_tile(5 + 2**64, 3, 4, 2, distribution))
     with pytest.raises(ValueError):
         _standard_tile(-1, 0, 0, 2, "gaussian")
+
+
+def _random_maps(rng, L, B, d, e):
+    """(L, B, d, d) contractive step maps and (L, B, d, e) input maps."""
+    M = np.eye(d) - 0.05 * rng.standard_normal((L, B, d, d))
+    N = 0.1 * rng.standard_normal((L, B, d, e))
+    return M, N
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 50, 511])
+@pytest.mark.parametrize("B", [1, 2, 20])
+@pytest.mark.parametrize("d", [2, 6, 20])
+def test_batched_compose_is_per_segment_compose_bit_for_bit(L, B, d):
+    # Composing B segments of L steps in one call gives each segment's
+    # unbatched (P, W) to the last bit, in the unbatched shapes.
+    M, N = _random_maps(np.random.default_rng([L, B, d]), L, B, d, d)
+    P, W = engine._compose(M, N)
+    assert P.shape == (B, d, d) and W.shape == (B, L * d, d)
+    for i in range(B):
+        P_i, W_i = engine._compose(np.ascontiguousarray(M[:, i]), np.ascontiguousarray(N[:, i]))
+        assert P[i].tobytes() == P_i.tobytes() and W[i].tobytes() == W_i.tobytes(), i
+
+
+@pytest.mark.parametrize(
+    "start, stop, edges",
+    [
+        (0, 5000, list(range(50, 5000, 50))),
+        (37, 3000, list(range(50, 3000, 50))),
+        (0, 2100, [1, 2, 3, 5, 7, 9, 11, 400, 800, 1200, 1201, 1202, 1203, 2000]),
+    ],
+)
+def test_segments_batch_runs_of_equal_length_bit_for_bit(start, stop, edges):
+    # d = 4, block 1024: range(50, K, 50) edges cut each tile into a run of
+    # 50-step segments between shorter ones at the tile edges.
+    d, block = 4, noise_block_steps(4)
+    M_all, N_all = _random_maps(np.random.default_rng(5), stop, 1, d, 3)
+    M_all, N_all = M_all[:, 0], N_all[:, 0]
+    segments = list(_segments(lambda t0, t1: (M_all[t0:t1], N_all[t0:t1]), start, stop, block, edges))
+    lengths = [b - a for a, b, _, _ in segments]
+    assert any(x == y for x, y in zip(lengths, lengths[1:])) and len(set(lengths)) > 2
+    for a, b, P, W in segments:
+        P_ref, W_ref = engine._compose(M_all[a:b], N_all[a:b])
+        assert P.tobytes() == P_ref.tobytes() and W.tobytes() == W_ref.tobytes(), (a, b)
+        assert P.shape == (d, d) and W.shape == ((b - a) * 3, d)
+
+
+def test_a_tile_of_one_segment_is_composed_as_it_is(monkeypatch):
+    # No checkpoint inside a tile: each _compose call gets the tile's own
+    # unbatched maps, the same memory, with no gather into a batch.
+    calls = []
+    compose = engine._compose
+
+    def recording_compose(M, N):
+        calls.append((M.shape, M.ctypes.data, N.ctypes.data))
+        return compose(M, N)
+
+    def maps(t0, t1):
+        return M_all[t0:t1], N_all[t0:t1]
+
+    monkeypatch.setattr(engine, "_compose", recording_compose)
+    d, block = 2, noise_block_steps(2)
+    M_all, N_all = _random_maps(np.random.default_rng(6), 3 * block, 1, d, d)
+    M_all, N_all = np.ascontiguousarray(M_all[:, 0]), np.ascontiguousarray(N_all[:, 0])
+    segments = list(_segments(maps, 0, 3 * block, block, [block, 2 * block]))
+    assert [(a, b) for a, b, _, _ in segments] == [(0, block), (block, 2 * block), (2 * block, 3 * block)]
+    assert calls == [
+        ((block, d, d), M_all[t0:].ctypes.data, N_all[t0:].ctypes.data) for t0 in (0, block, 2 * block)
+    ]

@@ -134,3 +134,54 @@ def test_is_symmetric_tolerance():
     M = np.array([[1.0, 1.0], [1.0 + 1e-14, 1.0]])
     assert is_symmetric(M)
     assert not is_symmetric(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 10, 40, 80])
+def test_lyapunov_solve_is_scipys_sylvester_bit_for_bit(p):
+    # B = A' takes one Schur form for both sides and still returns the bytes
+    # of scipy's solve_sylvester(A, A', C).
+    import scipy.linalg
+
+    rng = np.random.default_rng([17, p])
+    for _ in range(5):
+        A = rng.standard_normal((p, p))
+        A += (abs(min(np.linalg.eigvals(A).real.min(), 0.0)) + 0.5) * np.eye(p)
+        G = rng.standard_normal((p, p))
+        C = G @ G.T
+        expected = scipy.linalg.solve_sylvester(A, A.T, C)
+        assert solve_sylvester(A, A.T, C).tobytes() == expected.tobytes()
+        # A' given as its own C-ordered array is the same equation.
+        assert solve_sylvester(A, np.ascontiguousarray(A.T), C).tobytes() == expected.tobytes()
+
+
+def test_lyapunov_solve_takes_one_schur_form(monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    schur = scipy.linalg.schur
+
+    def counting_schur(a, *args, **kwargs):
+        calls.append(a.shape)
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    A = np.array([[2.0, 1.0], [0.5, 3.0]])
+    solve_sylvester(A, A.T, np.eye(2))
+    assert calls == [(2, 2)]
+
+
+def test_general_sylvester_solve_is_scipys_bit_for_bit():
+    # B other than A', and B = A up to one sign of zero, take scipy's own path.
+    import scipy.linalg
+
+    rng = np.random.default_rng(23)
+    for p, q in [(3, 3), (4, 2), (1, 5)]:
+        A = rng.standard_normal((p, p)) + 3.0 * np.eye(p)
+        B = rng.standard_normal((q, q)) + 3.0 * np.eye(q)
+        C = rng.standard_normal((p, q))
+        assert solve_sylvester(A, B, C).tobytes() == scipy.linalg.solve_sylvester(A, B, C).tobytes()
+    A = np.array([[2.0, 0.0], [1.0, 3.0]])
+    B = A.T.copy()
+    B[1, 0] = -0.0  # A[0, 1] is +0.0
+    C = np.eye(2)
+    assert solve_sylvester(A, B, C).tobytes() == scipy.linalg.solve_sylvester(A, B, C).tobytes()

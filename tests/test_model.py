@@ -22,7 +22,7 @@ from twoscale.model import (
     stability_checks,
     validate_system,
 )
-from twoscale.theory import noise_equivalent_covariance, optimal_gain_covariance, predict_full
+from twoscale.theory import noise_equivalent_covariance, optimal_gain_covariance, predict_full, predict_reduced
 
 
 def test_fixed_point_reference_system(sys_a):
@@ -350,3 +350,28 @@ def test_random_systems_validate(sys_a_pair):
         spec = random_stable_system(rng)
         report = validate_system(spec, sys_a_pair)
         assert report.passed
+
+
+def test_stability_checks_are_kept_per_beta_bar_and_reports_stay_fresh(sys_a, sys_a_pair, monkeypatch):
+    # One evaluation per (spec, beta_bar) serves every caller; each caller
+    # gets its own report, so validate_system's added check is never seen
+    # by the solvers' gate, and an unstable shift is still refused.
+    import twoscale.linalg
+
+    calls = []
+    abscissa = twoscale.linalg.spectral_abscissa
+    monkeypatch.setattr(twoscale.linalg, "spectral_abscissa", lambda M: calls.append(1) or abscissa(M))
+    first = validate_system(sys_a, sys_a_pair)
+    second = validate_system(sys_a, sys_a_pair)
+    assert [c.name for c in first.checks] == [c.name for c in second.checks]
+    assert len(first.checks) == 5 and len(stability_checks(sys_a, sys_a_pair.beta_bar).checks) == 4
+    assert first.checks is not second.checks
+    predict_full(sys_a, sys_a_pair.beta_bar)
+    assert len(calls) == 3
+    # Delta = 1 for system A: beta_bar = 4 shifts it to -1, unstable.
+    with pytest.raises(AssumptionViolation) as exc:
+        predict_full(sys_a, 4.0)
+    assert exc.value.failures == ["shifted-reduced-matrix-stable"]
+    with pytest.raises(AssumptionViolation):
+        predict_reduced(sys_a, 4.0)
+    assert len(calls) == 6
