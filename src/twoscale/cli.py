@@ -9,14 +9,14 @@ Exit codes form a stable contract:
     2  assumption failure, tolerance failure, or divergence
     3  internal inconsistency (independent solution routes disagree)
 
-The configuration is one JSON document in one of two forms.  A coupled
-system holds the system matrices (row major nested arrays), the noise
-blocks under "noise" and the two schedules under "beta" and "gamma".  A
-document with an "A" key is an averaging problem instead: it holds only
-"A", "b" and "Gamma", and stands for the running average of
-r <- r + gamma (b - A r + noise) under AVERAGING_SCHEDULES.  Any other key
-exits 1, so a misspelled field is refused rather than defaulted, and the
-document holds no run parameters.
+The configuration is one JSON document in one of two forms; `RunConfig`
+alone reads and writes it.  A coupled system holds the system matrices
+(row major nested arrays), the noise blocks under "noise" and the two
+schedules under "beta" and "gamma".  A document with an "A" key is an
+averaging problem instead: it holds only "A", "b" and "Gamma", and stands
+for the running average of r <- r + gamma (b - A r + noise) under
+AVERAGING_SCHEDULES.  Any other key exits 1, so a misspelled field is
+refused rather than defaulted, and the document holds no run parameters.
 Run parameters are command-line flags, each default declared once in
 `build_parser` and listed by `--help`.
 """
@@ -35,9 +35,8 @@ import numpy as np
 
 from . import engine, estimator, theory
 from .errors import AssumptionViolation, Diverged, TwoScaleError
-from .model import SystemSpec, averaging_system, validate_system
+from .model import NoiseSpec, SystemSpec, averaging_system, validate_system
 from .schedules import SchedulePair, StepSchedule
-from .validation import numbers, reject_unknown_keys
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -50,6 +49,10 @@ ENSEMBLE_SE_FACTOR = 4.0
 TRANSFORMED_TOL = 1e-8
 PREDICT_CONSISTENCY_TOL = 1e-8
 
+SYSTEM_KEYS = ("A11", "A12", "A21", "A22", "b1", "b2")
+CONFIG_KEYS = ("n", "m", *SYSTEM_KEYS, "noise", "beta", "gamma")
+NOISE_BLOCKS = ("Gamma11", "Gamma12", "Gamma22")
+SCHEDULE_KEYS = ("base", "tau", "alpha")
 AVERAGING_KEYS = ("A", "b", "Gamma")
 # Slow schedule 1/(1+k), so the scaled slow covariance is the root-k-scaled
 # covariance of the running average.
@@ -59,35 +62,102 @@ AVERAGING_SCHEDULES = SchedulePair(
 )
 
 
+def reject_unknown_keys(doc: dict, allowed: Iterable[str], where: str) -> None:
+    """Raise ValueError naming every key of `doc` outside `allowed`."""
+    stray = sorted(set(doc) - set(allowed))
+    if stray:
+        raise ValueError(f"unknown {where} keys: {', '.join(map(repr, stray))}")
+
+
+def numbers(value, name: str):
+    """Return value if it is a number, a numeric array or nested lists of numbers; else raise ValueError.
+
+    A bool, a string or an integer beyond the float range is refused here,
+    where float() and numpy would convert the first two and raise
+    OverflowError on the third.  The message names name and what was refused.
+    """
+    if isinstance(value, (list, tuple)):
+        if not set(map(type, value)) <= {float}:
+            for item in value:
+                numbers(item, name)
+        return value
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} holds an integer too large for a float") from None
+        return value
+    raise ValueError(f"{name} holds {value!r}, which is not a number")
+
+
+def _object(value, name: str) -> dict:
+    """Return value if it is a JSON object; else raise TypeError naming name and the type found."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 @dataclass
 class RunConfig:
-    """The system and its two step-size schedules, as read from a configuration."""
+    """The system and its two step-size schedules; the one reader and writer of configuration documents."""
 
     system: SystemSpec
     schedules: SchedulePair
 
+    @classmethod
+    def read(cls, doc: dict) -> "RunConfig":
+        """Read either document form: a coupled system, or an averaging problem {"A", "b", "Gamma"}.
+
+        The first fault raises KeyError, TypeError or ValueError, in this
+        order: top-level keys, A11 ... b2, "noise" and `NoiseSpec`,
+        `SystemSpec`, the declared n and m, "beta", then "gamma".
+        """
+        if "A" in doc:
+            reject_unknown_keys(doc, AVERAGING_KEYS, "averaging configuration")
+            A, b, Gamma = (numbers(doc[key], key) for key in AVERAGING_KEYS)
+            return cls(averaging_system(A, b, Gamma), AVERAGING_SCHEDULES)
+        reject_unknown_keys(doc, CONFIG_KEYS, "configuration")
+        blocks = {key: numbers(doc[key], key) for key in SYSTEM_KEYS}
+        entry = _object(doc["noise"], "noise")
+        reject_unknown_keys(entry, (*NOISE_BLOCKS, "distribution"), "noise")
+        gammas = {key: numbers(entry[key], key) for key in NOISE_BLOCKS}
+        noise = NoiseSpec(**gammas, distribution=entry.get("distribution", "gaussian"))
+        system = SystemSpec(**blocks, noise=noise)
+        for key in ("n", "m"):
+            if key in doc and (isinstance(doc[key], bool) or doc[key] != getattr(system, key)):
+                raise ValueError(f"declared {key}={doc[key]!r} does not match matrix shapes")
+        schedules = []
+        for key in ("beta", "gamma"):
+            entry = _object(doc[key], key)
+            reject_unknown_keys(entry, SCHEDULE_KEYS, "schedule")
+            base, tau, alpha = (float(numbers(entry[k], f"schedule {k}")) for k in SCHEDULE_KEYS)
+            schedules.append(StepSchedule(base=base, horizon_scale=tau, exponent=alpha))
+        return cls(system, SchedulePair(*schedules))
+
+    def document(self) -> dict:
+        """The coupled-form document of this configuration, which `read` reads back bit for bit."""
+        system, noise = self.system, self.system.noise
+        doc = {"n": system.n, "m": system.m, **{key: getattr(system, key).tolist() for key in SYSTEM_KEYS}}
+        doc["noise"] = {key: getattr(noise, key).tolist() for key in NOISE_BLOCKS}
+        doc["noise"]["distribution"] = noise.distribution
+        for key, schedule in (("beta", self.schedules.slow), ("gamma", self.schedules.fast)):
+            doc[key] = {"base": schedule.base, "tau": schedule.horizon_scale, "alpha": schedule.exponent}
+        return doc
+
     def canonical(self) -> str:
-        doc = self.system.to_dict()
-        doc.update(self.schedules.to_dict())
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.document(), sort_keys=True, separators=(",", ":"))
 
 
 def _read_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise TypeError(f"configuration must be a JSON object, not {type(doc).__name__}")
-    return doc
+        return _object(json.load(fh), "configuration")
 
 
 def load_config(path: str) -> RunConfig:
-    """Read either document form: a coupled system, or an averaging problem {"A", "b", "Gamma"}."""
-    doc = _read_object(path)
-    if "A" in doc:
-        reject_unknown_keys(doc, AVERAGING_KEYS, "averaging configuration")
-        A, b, Gamma = (numbers(doc[key], key) for key in AVERAGING_KEYS)
-        return RunConfig(averaging_system(A, b, Gamma), AVERAGING_SCHEDULES)
-    return RunConfig(system=SystemSpec.from_dict(doc), schedules=SchedulePair.from_dict(doc))
+    """Read the configuration document at path."""
+    return RunConfig.read(_read_object(path))
 
 
 def geometric_checkpoints(K: int) -> list[int]:

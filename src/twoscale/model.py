@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import DivergentRatio, SingularA22, SingularSystem
 from .schedules import SchedulePair
-from .validation import CONFIG_KEYS, ValidationReport, numbers, reject_unknown_keys
+from .validation import ValidationReport
 
 DISTRIBUTIONS = ("gaussian", "scaled-rademacher")
 
@@ -70,22 +70,6 @@ class NoiseSpec:
     def joint(self) -> np.ndarray:
         """Full (n+m) x (n+m) covariance of the stacked noise (V, W)."""
         return np.block([[self.Gamma11, self.Gamma12], [self.Gamma12.T, self.Gamma22]])
-
-    def to_dict(self) -> dict:
-        return {
-            "Gamma11": self.Gamma11.tolist(),
-            "Gamma12": self.Gamma12.tolist(),
-            "Gamma22": self.Gamma22.tolist(),
-            "distribution": self.distribution,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseSpec":
-        reject_unknown_keys(d, ("Gamma11", "Gamma12", "Gamma22", "distribution"), "noise")
-        return cls(
-            **{key: numbers(d[key], key) for key in ("Gamma11", "Gamma12", "Gamma22")},
-            distribution=d.get("distribution", "gaussian"),
-        )
 
 
 @dataclass(frozen=True)
@@ -142,32 +126,6 @@ class SystemSpec:
     def offset(self) -> np.ndarray:
         """Stacked offset vector (b1, b2)."""
         return np.concatenate([self.b1, self.b2])
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "A11": self.A11.tolist(),
-            "A12": self.A12.tolist(),
-            "A21": self.A21.tolist(),
-            "A22": self.A22.tolist(),
-            "b1": self.b1.tolist(),
-            "b2": self.b2.tolist(),
-            "noise": self.noise.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SystemSpec":
-        """Read the system's keys of a configuration document, refusing any key outside CONFIG_KEYS."""
-        reject_unknown_keys(d, CONFIG_KEYS, "configuration")
-        spec = cls(
-            **{key: numbers(d[key], key) for key in ("A11", "A12", "A21", "A22", "b1", "b2")},
-            noise=NoiseSpec.from_dict(d["noise"]),
-        )
-        for key in ("n", "m"):
-            if key in d and (isinstance(d[key], bool) or d[key] != getattr(spec, key)):
-                raise ValueError(f"declared {key}={d[key]!r} does not match matrix shapes")
-        return spec
 
 
 def fixed_point(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentRatio
-from .validation import CONFIG_KEYS, numbers, reject_unknown_keys
 
 
 @dataclass(frozen=True)
@@ -58,15 +57,6 @@ class StepSchedule:
             raise ValueError("step indices must be nonnegative")
         return self.base / (1.0 + ks / self.horizon_scale) ** self.exponent
 
-    def to_dict(self) -> dict:
-        return {"base": self.base, "tau": self.horizon_scale, "alpha": self.exponent}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StepSchedule":
-        reject_unknown_keys(d, ("base", "tau", "alpha"), "schedule")
-        base, tau, alpha = (float(numbers(d[key], f"schedule {key}")) for key in ("base", "tau", "alpha"))
-        return cls(base=base, horizon_scale=tau, exponent=alpha)
-
 
 @dataclass(frozen=True)
 class SchedulePair:
@@ -96,13 +86,3 @@ class SchedulePair:
         if self.slow.exponent == 1.0:
             return 1.0 / (self.slow.horizon_scale * self.slow.base)
         return 0.0
-
-    def to_dict(self) -> dict:
-        return {"beta": self.slow.to_dict(), "gamma": self.fast.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SchedulePair":
-        """Read "beta" and "gamma" of a configuration document, refusing any key outside CONFIG_KEYS."""
-        reject_unknown_keys(d, CONFIG_KEYS, "configuration")
-        return cls(slow=StepSchedule.from_dict(d["beta"]), fast=StepSchedule.from_dict(d["gamma"]))
-

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 from conftest import random_stable_system
-from twoscale import cli, optimal_gain_covariance, predict_full, predict_reduced
+from twoscale import (
+    SchedulePair,
+    StepSchedule,
+    cli,
+    optimal_gain_covariance,
+    predict_full,
+    predict_reduced,
+)
 
 SYS_A_DOC = {
     "n": 1,
@@ -277,9 +284,10 @@ def test_out_that_is_a_directory_exits_1_before_the_run(sys_a_config, tmp_path, 
     assert out.err.startswith("cannot write output: [Errno 21] Is a directory")
 
 
-@pytest.mark.parametrize("n", [1.7, True, "1"], ids=["fraction", "bool", "string"])
+@pytest.mark.parametrize("n", [1.7, True, "1", 3], ids=["fraction", "bool", "string", "wrong-integer"])
 def test_declared_dimension_must_equal_the_shape(tmp_path, capsys, n):
-    # System A has n = 1: a fractional, boolean or string n is not truncated to it.
+    # System A has n = 1: a fractional, boolean or string n is not truncated to it,
+    # and another integer is refused.
     path = tmp_path / "declared.json"
     path.write_text(json.dumps(dict(SYS_A_DOC, n=n)))
     assert cli.main(["validate", "--config", str(path)]) == 1
@@ -300,10 +308,7 @@ def test_predict_round_trips_full_precision(sys_a_config, tmp_path, capsys):
     out_path = tmp_path / "pred.csv"
     assert cli.main(["predict", "--config", sys_a_config, "--out", str(out_path)]) == 0
     parsed = parse_matrix_csv(out_path.read_text().splitlines())
-
-    from twoscale import SystemSpec
-
-    spec = SystemSpec.from_dict(SYS_A_DOC)
+    spec = cli.RunConfig.read(SYS_A_DOC).system
     pred = predict_full(spec, 0.1)
     for name, expected in (
         ("Sigma11", pred.Sigma11),
@@ -399,7 +404,7 @@ def test_matrix_lines_write_the_bytes_of_csv_lines(tmp_path, capsys):
 
 def test_predict_non_square_blocks_write_the_reference_bytes(tmp_path, capsys):
     spec = random_stable_system(np.random.default_rng(5), n=2, m=3)
-    doc = dict(spec.to_dict(), beta=SYS_A_DOC["beta"], gamma=SYS_A_DOC["gamma"])
+    doc = cli.RunConfig(spec, cli.RunConfig.read(SYS_A_DOC).schedules).document()
     path = tmp_path / "n2m3.json"
     path.write_text(json.dumps(doc))
     pred = predict_full(spec, 0.1)
@@ -970,6 +975,37 @@ def test_config_canonical_round_trip(sys_a_config, tmp_path):
     assert cfg2.canonical() == canonical
 
 
+def test_document_round_trip_is_bit_exact():
+    # Random systems with n != m under both noise laws, and random schedules:
+    # the document, and its canonical text, read back to the same bits.
+    rng = np.random.default_rng(29)
+    for distribution in ("gaussian", "scaled-rademacher"):
+        for n, m in [(1, 3), (4, 2), (3, 5)]:
+            spec = random_stable_system(rng, n=n, m=m, distribution=distribution)
+            schedules = SchedulePair(
+                slow=StepSchedule(rng.uniform(0.5, 2.0), rng.uniform(1.0, 50.0), 1.0),
+                fast=StepSchedule(rng.uniform(0.5, 2.0), rng.uniform(1.0, 50.0), rng.uniform(0.55, 0.95)),
+            )
+            cfg = cli.RunConfig(spec, schedules)
+            canonical = cfg.canonical()
+            for doc in (cfg.document(), json.loads(canonical)):
+                back = cli.RunConfig.read(doc)
+                assert back.canonical() == canonical
+                assert back.schedules == schedules
+                assert back.system.noise.distribution == distribution
+                for key in cli.SYSTEM_KEYS:
+                    assert getattr(back.system, key).tobytes() == getattr(spec, key).tobytes(), key
+                for key in cli.NOISE_BLOCKS:
+                    assert getattr(back.system.noise, key).tobytes() == getattr(spec.noise, key).tobytes()
+
+
+def test_noise_without_a_distribution_is_gaussian():
+    noise = {key: SYS_A_DOC["noise"][key] for key in cli.NOISE_BLOCKS}
+    cfg = cli.RunConfig.read(dict(SYS_A_DOC, noise=noise))
+    assert cfg.system.noise.distribution == "gaussian"
+    assert cfg.canonical() == cli.RunConfig.read(SYS_A_DOC).canonical()
+
+
 def test_geometric_checkpoints():
     assert cli.geometric_checkpoints(10**6) == [100, 1000, 10**4, 10**5, 10**6]
     assert cli.geometric_checkpoints(50) == [50]
@@ -1032,3 +1068,31 @@ def test_integer_config_numbers_are_read(tmp_path):
     path = tmp_path / "integers.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["validate", "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        (dict(SYS_A_DOC, beta=dict(SYS_A_DOC["beta"], tau=10**400)), "schedule tau"),
+        (dict(SYS_A_DOC, A11=[[10**400]]), "A11"),
+        ({"A": [[-(10**400)]], "b": [0.0], "Gamma": [[1.0]]}, "A"),
+    ],
+    ids=["tau", "A11", "averaging-A"],
+)
+def test_integer_beyond_the_float_range_exits_1(tmp_path, capsys, doc, named):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"malformed configuration: {named} holds an integer too large for a float\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [("noise", ["Gamma11"], "list"), ("beta", "abc", "str"), ("beta", 1.0, "float"), ("gamma", [1.0], "list")],
+    ids=["noise-list", "beta-string", "beta-number", "gamma-list"],
+)
+def test_nested_entry_that_is_not_an_object_exits_1(tmp_path, capsys, key, value, kind):
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(dict(SYS_A_DOC, **{key: value})))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"malformed configuration: {key} must be a JSON object, not {kind}\n"

@@ -10,6 +10,7 @@ from twoscale import (
     StepSchedule,
     SystemSpec,
     averaging_system,
+    cli,
     gained_system,
 )
 from twoscale.errors import AssumptionViolation, NotPSD, SingularA22, SingularDelta, SingularSystem
@@ -298,26 +299,13 @@ def test_noise_spec_rejects_unknown_distribution():
         NoiseSpec(Gamma11=[[1.0]], Gamma12=[[0.0]], Gamma22=[[1.0]], distribution="cauchy")
 
 
-def test_system_round_trip(sys_a):
-    rebuilt = SystemSpec.from_dict(sys_a.to_dict())
-    assert np.array_equal(rebuilt.block_matrix(), sys_a.block_matrix())
-    assert np.array_equal(rebuilt.offset(), sys_a.offset())
-    assert rebuilt.noise.distribution == sys_a.noise.distribution
-
-
-def test_system_from_dict_refuses_stray_keys(sys_a):
-    # The schedules' keys belong to the same document, so they pass.
-    doc = {**sys_a.to_dict(), "beta": {}, "gamma": {}}
-    assert SystemSpec.from_dict(doc).to_dict() == sys_a.to_dict()
-    with pytest.raises(ValueError, match="unknown configuration keys: 'A2l', 'run'"):
-        SystemSpec.from_dict({**doc, "A2l": [[1.0]], "run": {"steps": 5}})
-
-
-def test_system_from_dict_checks_declared_dimensions(sys_a):
-    doc = sys_a.to_dict()
-    doc["n"] = 3
-    with pytest.raises(ValueError):
-        SystemSpec.from_dict(doc)
+def test_system_from_dict_refuses_stray_keys(sys_a, sys_a_pair):
+    # The system is read from the configuration document by cli.RunConfig.read;
+    # the schedules' keys belong to the same document, so they pass.
+    doc = cli.RunConfig(sys_a, sys_a_pair).document()
+    assert cli.RunConfig.read(doc).document() == doc
+    with pytest.raises(ValueError, match=r"^unknown configuration keys: 'A2l', 'run'$"):
+        cli.RunConfig.read({**doc, "A2l": [[1.0]], "run": {"steps": 5}})
 
 
 def test_gained_system_identity_gain_is_same_system(sys_a):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twoscale import SchedulePair, StepSchedule
+from twoscale import SchedulePair, StepSchedule, cli
 from twoscale.errors import DivergentRatio
 from twoscale.model import validate_system
 
@@ -116,21 +116,21 @@ def test_beta_bar_limit_matches_finite_difference():
     assert diff == pytest.approx(pair.beta_bar, rel=1e-6)
 
 
-def test_pair_properties_and_round_trip():
+def test_pair_properties_and_round_trip(sys_a):
     pair = SchedulePair(slow=StepSchedule(1.0, 10.0, 1.0), fast=StepSchedule(0.5, 10.0, 0.7))
     assert pair.beta_bar == pytest.approx(0.1)
     assert pair.epsilon == 0.0
-    rebuilt = SchedulePair.from_dict(pair.to_dict())
+    rebuilt = cli.RunConfig.read(cli.RunConfig(sys_a, pair).document()).schedules
     assert rebuilt == pair
 
 
 def test_pair_from_dict_refuses_stray_keys(sys_a):
     pair = SchedulePair(slow=StepSchedule(1.0, 10.0, 1.0), fast=StepSchedule(0.5, 10.0, 0.7))
     # The whole configuration document is accepted: the system's keys are its own.
-    doc = {**sys_a.to_dict(), **pair.to_dict()}
-    assert SchedulePair.from_dict(doc) == pair
-    with pytest.raises(ValueError, match="unknown configuration keys: 'gama'"):
-        SchedulePair.from_dict({**doc, "gama": doc["gamma"]})
+    doc = cli.RunConfig(sys_a, pair).document()
+    assert cli.RunConfig.read(doc).schedules == pair
+    with pytest.raises(ValueError, match=r"^unknown configuration keys: 'gama'$"):
+        cli.RunConfig.read({**doc, "gama": doc["gamma"]})
 
 
 def test_validate_schedules_reference_pair_passes(sys_a):

@@ -1,0 +1,98 @@
+"""Apply one-line edits to a copy of the checkout and check that some test fails for each.
+
+Usage, from the repository root:
+
+    python3 tools/mutants.py
+
+Each mutant replaces one line of a module under src/twoscale. The script
+copies the checkout holding it (without .git) to a temporary directory, runs
+TESTS there once unedited, which must pass, and then once per mutant with
+its edit applied, stopping at the first failure. A mutant is killed when
+some test fails and survives when all pass. Prints one line per mutant and
+exits 1 if any survives or if an edit no longer matches its line, and 2 if
+the unedited tests fail. Needs pytest, numpy and scipy, as the tests do.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TESTS = ["tests/test_cli.py", "tests/test_model.py", "tests/test_schedules.py"]
+
+# (name, module, line as it stands without its indentation, replacement).
+MUTANTS = [
+    ("no top-level key check", "cli.py",
+     'reject_unknown_keys(doc, CONFIG_KEYS, "configuration")', "pass"),
+    ("no noise key check", "cli.py",
+     'reject_unknown_keys(entry, (*NOISE_BLOCKS, "distribution"), "noise")', "pass"),
+    ("no schedule key check", "cli.py",
+     'reject_unknown_keys(entry, SCHEDULE_KEYS, "schedule")', "pass"),
+    ("no averaging key check", "cli.py",
+     'reject_unknown_keys(doc, AVERAGING_KEYS, "averaging configuration")', "pass"),
+    ("tau and alpha swapped on read", "cli.py",
+     'base, tau, alpha = (float(numbers(entry[k], f"schedule {k}")) for k in SCHEDULE_KEYS)',
+     'base, alpha, tau = (float(numbers(entry[k], f"schedule {k}")) for k in SCHEDULE_KEYS)'),
+    ("tau and alpha swapped on write", "cli.py",
+     'doc[key] = {"base": schedule.base, "tau": schedule.horizon_scale, "alpha": schedule.exponent}',
+     'doc[key] = {"base": schedule.base, "tau": schedule.exponent, "alpha": schedule.horizon_scale}'),
+    ("rademacher noise by default", "cli.py",
+     'noise = NoiseSpec(**gammas, distribution=entry.get("distribution", "gaussian"))',
+     'noise = NoiseSpec(**gammas, distribution=entry.get("distribution", "scaled-rademacher"))'),
+    ("numbers accepts a bool", "cli.py",
+     "if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):",
+     "if isinstance(value, (int, float, np.integer, np.floating)):"),
+    ("no declared-dimension check", "cli.py",
+     'raise ValueError(f"declared {key}={doc[key]!r} does not match matrix shapes")', "pass"),
+]
+
+
+def mutate(source: str, old: str, new: str) -> str | None:
+    """source with the one line reading old (after its indentation) replaced by new, or None."""
+    lines = source.splitlines(keepends=True)
+    hits = [i for i, line in enumerate(lines) if line.strip() == old]
+    if len(hits) != 1:
+        return None
+    line = lines[hits[0]]
+    lines[hits[0]] = line[: len(line) - len(line.lstrip())] + new + "\n"
+    return "".join(lines)
+
+
+def tests_pass(root: Path) -> bool:
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS],
+                         cwd=root, env=env, capture_output=True, timeout=1800)
+    return run.returncode == 0
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory() as work:
+        copy = Path(work, "repo")
+        shutil.copytree(Path(__file__).resolve().parent.parent, copy,
+                        ignore=shutil.ignore_patterns(".git", "__pycache__"))
+        if not tests_pass(copy):
+            print("the unedited tests fail; no mutant was run")
+            return 2
+        for name, module, old, new in MUTANTS:
+            path = copy / "src" / "twoscale" / module
+            source = path.read_text(encoding="utf-8")
+            edited = mutate(source, old, new)
+            if edited is None:
+                status = "NO MATCH"
+            else:
+                path.write_text(edited, encoding="utf-8")
+                status = "killed" if not tests_pass(copy) else "SURVIVED"
+                path.write_text(source, encoding="utf-8")
+            bad += status != "killed"
+            print(f"{status}: {name} ({module})", flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
