@@ -69,6 +69,13 @@ def reject_unknown_keys(doc: dict, allowed: Iterable[str], where: str) -> None:
         raise ValueError(f"unknown {where} keys: {', '.join(map(repr, stray))}")
 
 
+def require_keys(doc: dict, required: Iterable[str], where: str) -> None:
+    """Raise ValueError naming every key of `required` missing from `doc`."""
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"missing {where} keys: {', '.join(map(repr, missing))}")
+
+
 def numbers(value, name: str):
     """Return value if it is a number, a numeric array or nested lists of numbers; else raise ValueError.
 
@@ -110,18 +117,22 @@ class RunConfig:
     def read(cls, doc: dict) -> "RunConfig":
         """Read either document form: a coupled system, or an averaging problem {"A", "b", "Gamma"}.
 
-        The first fault raises KeyError, TypeError or ValueError, in this
-        order: top-level keys, A11 ... b2, "noise" and `NoiseSpec`,
-        `SystemSpec`, the declared n and m, "beta", then "gamma".
+        The first fault raises TypeError or ValueError, in this order:
+        top-level keys, A11 ... b2, "noise" and `NoiseSpec`, `SystemSpec`,
+        the declared n and m, "beta", then "gamma".  A missing key is a
+        ValueError that names it.
         """
         if "A" in doc:
             reject_unknown_keys(doc, AVERAGING_KEYS, "averaging configuration")
+            require_keys(doc, AVERAGING_KEYS, "averaging configuration")
             A, b, Gamma = (numbers(doc[key], key) for key in AVERAGING_KEYS)
             return cls(averaging_system(A, b, Gamma), AVERAGING_SCHEDULES)
         reject_unknown_keys(doc, CONFIG_KEYS, "configuration")
+        require_keys(doc, (*SYSTEM_KEYS, "noise", "beta", "gamma"), "configuration")
         blocks = {key: numbers(doc[key], key) for key in SYSTEM_KEYS}
         entry = _object(doc["noise"], "noise")
         reject_unknown_keys(entry, (*NOISE_BLOCKS, "distribution"), "noise")
+        require_keys(entry, NOISE_BLOCKS, "noise")
         gammas = {key: numbers(entry[key], key) for key in NOISE_BLOCKS}
         noise = NoiseSpec(**gammas, distribution=entry.get("distribution", "gaussian"))
         system = SystemSpec(**blocks, noise=noise)
@@ -132,6 +143,7 @@ class RunConfig:
         for key in ("beta", "gamma"):
             entry = _object(doc[key], key)
             reject_unknown_keys(entry, SCHEDULE_KEYS, "schedule")
+            require_keys(entry, SCHEDULE_KEYS, f"{key} schedule")
             base, tau, alpha = (float(numbers(entry[k], f"schedule {k}")) for k in SCHEDULE_KEYS)
             schedules.append(StepSchedule(base=base, horizon_scale=tau, exponent=alpha))
         return cls(system, SchedulePair(*schedules))
@@ -150,9 +162,18 @@ class RunConfig:
         return json.dumps(self.document(), sort_keys=True, separators=(",", ":"))
 
 
+class Unreadable(Exception):
+    """The configuration file could not be parsed; main reports it as unreadable."""
+
+
 def _read_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return _object(json.load(fh), "configuration")
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            # The JSON reader recurses once per level of nesting.
+            raise Unreadable(f"{path}: nested too deeply to parse") from None
+    return _object(doc, "configuration")
 
 
 def load_config(path: str) -> RunConfig:
@@ -539,7 +560,7 @@ def main(argv=None) -> int:
     except Unwritable as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, Unreadable) as exc:
         print(f"cannot read configuration: {exc}", file=sys.stderr)
         return EXIT_IO
     except (KeyError, TypeError, ValueError) as exc:

@@ -23,10 +23,11 @@ product with the same per-matrix BLAS call on the same operands, so every
 maps as they are, with no gather.  Step maps are built once per tile, as one
 (L, 2) x (2, d^2) product of the tile's step sizes with coefficient rows
 fixed for the run, exact because each entry has one nonzero term, and
-sliced per segment.  Exact propagation updates the second moment as
-C <- P C P' + W'W.  Every simulated route goes through one driver,
-`_advance`, which moves a block of row states as Z <- Z P' + V, V the
-rows' noise term over the segment; only the plan that yields V differs.
+sliced per segment.  Exact propagation at d >= 3 updates the second
+moment as C <- P C P' + W'W, and at d = 2 through the tree below.  Every
+simulated route goes through one driver, `_advance`, which moves a block
+of row states as Z <- Z P' + V, V the rows' noise term over the segment;
+only the plan that yields V differs.
 A single trajectory (`simulate`, both phases of `simulate_transformed`)
 is one row with V = U W, U its inputs read through `_step_reader`; an
 ensemble moves all N rows at once.  Every route runs in deviations from
@@ -39,6 +40,29 @@ divergence cutoff is replayed one step at a time from its rebuilt per-step
 maps, in each chunk with a row past the cutoff, to report the first bad
 step and the replicas that crossed it.  Exact propagation replays a segment
 whose moment passes the cutoff squared the same way.
+
+Exact propagation at d = 2 composes no W.  `_moment_tree` reduces each
+segment's moment maps M_j and Q_j = N_j N_j' with a pairwise tree:
+neighbouring steps merge into (M_2 M_1, M_2 Q_1 M_2' + Q_2), level by
+level, until each segment is one pair (P, G) and C <- P C P' + G.  The
+maps are stored batch-last, (d, d, B, L), so each entry of a product is d
+elementwise multiply-adds vectorised across the B segments and their L
+steps, and the reduction makes no BLAS call.  `_compose` hands BLAS one
+d x d product at a time; at d = 2 that dispatch, 25-50 ns a product, costs
+more than the arithmetic, and from d = 3 on the tree's d^3 elementwise
+passes cost more than the dispatch.  Measured on a 2-core Xeon, OpenBLAS
+0.3.31 on one thread, K = 2e5 with one checkpoint, `_compose` against the
+tree (ranges of three runs): d = 2 35-52 against 26-28 ms, d = 3 46-52
+against 64-75, d = 4 49-53 against 125-145, d = 6 79-83 against 415-436.
+So the path is chosen from d alone.  The tree keeps the segment
+partition, so the cutoff check, `_replay_moment`'s first bad step and the
+checkpoint rows fall on the same steps as under `_compose`.  It reduces
+the segments of MOMENT_TREE_TILES tiles at a time, from one `_step_maps`
+call, those of one length in one call.  Four tiles share the fixed cost of
+its eleven levels, and their 8192 steps of maps in flight, about 1.2 MB at
+the peak, keep memory flat in K; eight tiles ran about 12% faster but
+held twice that.  Its sums run in another order than the scan's, so d = 2
+moments differ from `_compose`'s by about 1e-15 relative.
 
 Gaussian ensembles aggregate each segment's noise: for Gaussian u the term
 W'u is exactly N(0, W'W), and so is R'xi for the triangular factor R of
@@ -121,6 +145,7 @@ from .theory import LSequence, l_sequence
 STREAM_LAYOUT = 5  # version of the noise stream layout described above
 NOISE_CHUNK = 64  # replicas per noise tile
 NOISE_SUM_COLS = 512  # input columns per block of a Rademacher segment's noise-term sum
+MOMENT_TREE_TILES = 4  # noise tiles per `_moment_tree` batch of d = 2 propagation
 # Largest float64 footprint an ensemble may plan: its N x d state, one N x d
 # noise array and one N x d array per checkpoint.
 ENSEMBLE_BYTES_CAP = 2 * 2**30
@@ -304,6 +329,100 @@ def _segments(maps, start: int, stop: int, block: int, edges):
                     yield (a + i * L, a + (i + 1) * L, P[i], W[i])
             a += count * L
         t0 = t1
+
+
+def _product(X: np.ndarray, Y: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """X Y for stacks of matrices stored batch-last, (d, e, ...) times (e, f, ...).
+
+    Each entry is the sum over the inner index, in order, of elementwise
+    products, so the work runs vectorised across the batch axes with no BLAS
+    call.  out and tmp, both of the product's shape, take the result and the
+    terms after the first; either is allocated when None.
+    """
+    out = np.multiply(X[:, :1], Y[None, 0], out=out)
+    for k in range(1, len(Y)):
+        out += np.multiply(X[:, k : k + 1], Y[None, k], out=tmp)
+    return out
+
+
+def _moment_tree(M: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce the moment maps of B segments of L steps to one pair (P, G) each.
+
+    M and Q are C-contiguous (d, d, B, L), step j of segment b at [..., b,
+    j]: M_j = I - D_j A and Q_j = N_j N_j'.  Neighbouring steps merge in
+    pairs, step 1 then step 2 into (M_2 M_1, M_2 Q_1 M_2' + Q_2), level by
+    level; an odd last step passes to the next level as it is.  Returns P
+    and G, each (d, d, B), with C <- P C P' + G the moment update over each
+    segment.  M and Q are overwritten: the levels alternate between them and
+    one set of spare buffers, so no level allocates.
+    """
+    d, _, B, L = M.shape
+    spare = np.empty((4, d * d * B * (L - L // 2)))  # a level's output pair, its M_2 Q_1 and one term
+
+    def level(buf, length):
+        return buf[: d * d * B * length].reshape(d, d, B, length)
+
+    free = [spare[0], spare[1], M.reshape(-1), Q.reshape(-1)]
+    while L > 1:
+        h = L // 2
+        M1, M2, Q1, Q2 = M[..., :-1:2], M[..., 1::2], Q[..., :-1:2], Q[..., 1::2]
+        M_next, Q_next = level(free[0], L - h), level(free[1], L - h)
+        MQ, tmp = level(spare[2], h), level(spare[3], h)
+        _product(M2, Q1, MQ, tmp)
+        G = _product(MQ, M2.swapaxes(0, 1), Q_next[..., :h], tmp)
+        G += Q2
+        _product(M2, M1, M_next[..., :h], tmp)
+        if L % 2:
+            M_next[..., h], Q_next[..., h] = M[..., -1], Q[..., -1]
+        free[:2], free[2:] = free[2:], free[:2]
+        M, Q, L = M_next, Q_next, L - h
+    return M[..., 0].copy(), Q[..., 0].copy()
+
+
+def _moment_segments(maps, stop: int, block: int, edges):
+    """Yield (a, b, P, G) for each kernel segment [a, b) of [0, stop), cut as `_segments` cuts them.
+
+    C <- P C P' + G is the second-moment update over the segment.  The
+    segments of MOMENT_TREE_TILES consecutive noise tiles are reduced
+    together by `_span_moments`.
+    """
+    span = MOMENT_TREE_TILES * block
+    for t0 in range(0, stop, span):
+        t1 = min(stop, t0 + span)
+        cuts = edges[bisect_right(edges, t0) : bisect_left(edges, t1)]
+        bounds = sorted({t0, *range(t0 + block, t1, block), *cuts, t1})
+        yield from zip(bounds[:-1], bounds[1:], *_span_moments(maps, bounds))
+
+
+def _span_moments(maps, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """P and G, each (segments, d, d), of the segments [bounds[i], bounds[i + 1]).
+
+    The span's maps come from one maps call and are stored batch-last; the
+    segments of one length go through one `_moment_tree` call, on a view of
+    the maps when they fill the span and on a gathered copy otherwise.
+    """
+    M, N = maps(bounds[0], bounds[-1])
+    d = M.shape[-1]
+    M = np.ascontiguousarray(M.transpose(1, 2, 0))
+    N = np.ascontiguousarray(N.transpose(1, 2, 0))
+    Q = _product(N, N.swapaxes(0, 1))
+    del N
+    runs = {}  # segment length -> indices of the segments of that length
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        runs.setdefault(b - a, []).append(i)
+    groups = []
+    for L, which in runs.items():
+        if len(which) == len(bounds) - 1:  # one run of equal segments fills the span
+            groups.append((which, M.reshape(d, d, -1, L), Q.reshape(d, d, -1, L)))
+        else:
+            steps = np.array([bounds[i] - bounds[0] for i in which])[:, None] + np.arange(L)  # (B, L)
+            groups.append((which, np.take(M, steps, axis=-1), np.take(Q, steps, axis=-1)))
+    del M, Q  # a gathered span holds only its copies while the trees run
+    P, G = np.empty((2, len(bounds) - 1, d, d))
+    for which, M, Q in groups:
+        P_L, G_L = _moment_tree(M, Q)
+        P[which], G[which] = P_L.transpose(2, 0, 1), G_L.transpose(2, 0, 1)
+    return P, G
 
 
 def _blocked_product(U: np.ndarray, W: np.ndarray, out: np.ndarray, buf: np.ndarray) -> None:
@@ -556,9 +675,12 @@ def propagate_covariance(
     The recursion is C_{k+1} = (I - D_k A) C_k (I - D_k A)' + D_k Gamma D_k
     with D_k the diagonal of slow and fast step sizes.  Checkpoints report
     the moment in centered coordinates, scaled by the inverse step sizes.
-    Each kernel segment advances the moment at once as C <- P C P' + W'W.
-    Raises Diverged at the first step whose moment passes the divergence
-    cutoff squared, found by replaying the failing segment step by step.
+    Each kernel segment advances the moment at once as C <- P C P' + G:
+    at d = 2, (P, G) comes from `_moment_tree`, which makes no BLAS call;
+    at d >= 3, G = W'W from `_compose`, which is faster there (the module
+    docstring gives the crossover).  Both cut the same segments.  Raises
+    Diverged at the first step whose moment passes the divergence cutoff
+    squared, found by replaying the failing segment step by step.
     """
     n, m = spec.n, spec.m
     d = n + m
@@ -578,11 +700,15 @@ def propagate_covariance(
     T = centring_matrix(spec)
     out = []
     maps = _step_maps(spec, pair)
-    plan = _segments(maps, 0, cps[-1], noise_block_steps(d), cps)
+    block = noise_block_steps(d)
+    if d == 2:
+        plan = _moment_segments(maps, cps[-1], block, cps)
+    else:
+        plan = ((a, b, P, W.T @ W) for a, b, P, W in _segments(maps, 0, cps[-1], block, cps))
     # Unstable systems overflow the composed maps; the replay reports where.
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b, P, W in plan:
-            C_next = P @ C @ P.T + W.T @ W
+        for a, b, P, G in plan:
+            C_next = P @ C @ P.T + G
             if not float(np.abs(C_next).max()) <= DIVERGENCE_CUTOFF**2:
                 _replay_moment(C, *maps(a, b), a)
             C = C_next

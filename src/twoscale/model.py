@@ -87,6 +87,8 @@ class SystemSpec:
     a22_cond: float = field(init=False, repr=False, compare=False)
     # The checks of `stability_checks` per beta_bar, evaluated once each.
     _stability: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # Matrices of the coefficients alone, each evaluated once: see `derived`.
+    _derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "A11", linalg.as_matrix(self.A11, "A11"))
@@ -127,6 +129,19 @@ class SystemSpec:
         """Stacked offset vector (b1, b2)."""
         return np.concatenate([self.b1, self.b2])
 
+    def derived(self, name: str, compute) -> np.ndarray:
+        """The matrix name of this spec: compute() on first use, then kept here, read-only.
+
+        The spec is frozen, so a matrix of its coefficients alone, such as
+        `fast_coupling`, holds for its life; one `predict` reads each
+        several times.
+        """
+        value = self._derived.get(name)
+        if value is None:
+            value = self._derived[name] = compute()
+            value.flags.writeable = False
+        return value
+
 
 def fixed_point(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     """Solve A11 theta + A12 r = b1, A21 theta + A22 r = b2."""
@@ -151,9 +166,9 @@ def require_invertible_a22(spec: SystemSpec) -> None:
 
 
 def fast_coupling(spec: SystemSpec) -> np.ndarray:
-    """A22^{-1} A21, the fast block's equilibrium response to the slow iterate."""
+    """A22^{-1} A21, the fast block's equilibrium response to the slow iterate; read-only, solved once per spec."""
     require_invertible_a22(spec)
-    return np.linalg.solve(spec.A22, spec.A21)
+    return spec.derived("fast_coupling", lambda: np.linalg.solve(spec.A22, spec.A21))
 
 
 def delta_matrix(spec: SystemSpec) -> np.ndarray:

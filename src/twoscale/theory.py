@@ -93,12 +93,16 @@ class CovariancePrediction:
 
 
 def noise_equivalent_covariance(spec: SystemSpec) -> np.ndarray:
-    """Covariance Q of the effective slow noise V - A12 A22^{-1} W."""
-    G = spec.noise
+    """Covariance Q of the effective slow noise V - A12 A22^{-1} W; read-only, built once per spec."""
     require_invertible_a22(spec)
-    C = np.linalg.solve(spec.A22.T, spec.A12.T).T  # A12 A22^{-1}
-    Q = G.Gamma11 - C @ G.Gamma12.T - G.Gamma12 @ C.T + C @ G.Gamma22 @ C.T
-    return linalg.symmetrize(Q)
+
+    def build():
+        G = spec.noise
+        C = np.linalg.solve(spec.A22.T, spec.A12.T).T  # A12 A22^{-1}
+        Q = G.Gamma11 - C @ G.Gamma12.T - G.Gamma12 @ C.T + C @ G.Gamma22 @ C.T
+        return linalg.symmetrize(Q)
+
+    return spec.derived("noise_equivalent_covariance", build)
 
 
 def _check_predict_preconditions(spec: SystemSpec, beta_bar: float) -> None:

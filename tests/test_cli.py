@@ -1096,3 +1096,56 @@ def test_nested_entry_that_is_not_an_object_exits_1(tmp_path, capsys, key, value
     path.write_text(json.dumps(dict(SYS_A_DOC, **{key: value})))
     assert cli.main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"malformed configuration: {key} must be a JSON object, not {kind}\n"
+
+
+def _without(doc: dict, key: str, inner: str | None = None) -> dict:
+    """doc without key, or with key's entry lacking inner."""
+    doc = json.loads(json.dumps(doc))
+    if inner is None:
+        del doc[key]
+    else:
+        del doc[key][inner]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        (_without(SYS_A_DOC, "A11"), "missing configuration keys: 'A11'"),
+        (_without(SYS_A_DOC, "noise", "Gamma12"), "missing noise keys: 'Gamma12'"),
+        (_without(SYS_A_DOC, "gamma", "tau"), "missing gamma schedule keys: 'tau'"),
+        (_without(AVG_DOC, "b"), "missing averaging configuration keys: 'b'"),
+    ],
+    ids=["top-level", "noise", "schedule", "averaging"],
+)
+def test_missing_key_is_named_as_missing(tmp_path, capsys, doc, named):
+    path = tmp_path / "incomplete.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"malformed configuration: {named}\n"
+
+
+def test_deeply_nested_configuration_exits_1_with_one_line(tmp_path, capsys):
+    # The JSON reader recurses once per level and gives up long before this depth.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"cannot read configuration: {path}: nested too deeply to parse\n"
+
+
+def test_predict_solves_the_fast_coupling_and_noise_covariance_once(sys_a_config, monkeypatch, capsys):
+    # A22^-1 A21 (read by the stability checks, both predictions and the
+    # optimal gain), A12 A22^-1 (read by the three builders of Q) and the
+    # cross block S12: three solves, not eight.
+    calls = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        calls.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    assert cli.main(["predict", "--config", sys_a_config]) == 0
+    assert len(calls) == 3

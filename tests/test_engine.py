@@ -482,16 +482,20 @@ def test_simulate_transformed_diverges_on_unstable_drift():
 # exact covariance propagation
 
 
-def naive_second_moment(spec, pair, C0, K):
+def naive_second_moment(spec, pair, C0, ks):
+    """The second moment of the plain per-step recursion after each step count in the sorted ks."""
     A = spec.block_matrix()
     Gj = spec.noise.joint()
     n, m = spec.n, spec.m
     C = np.array(C0, dtype=float)
-    for k in range(K):
+    out = []
+    for k in range(ks[-1]):
         d = np.concatenate([np.full(n, pair.slow.value(k)), np.full(m, pair.fast.value(k))])
         M = np.eye(n + m) - d[:, None] * A
         C = M @ C @ M.T + (d[:, None] * Gj) * d[None, :]
-    return C
+        if k + 1 in ks:
+            out.append(C)
+    return out
 
 
 def scale_to_blocks(spec, pair, C, k):
@@ -528,20 +532,26 @@ def test_propagate_single_step_by_hand(sys_a):
 
 
 def test_propagate_matches_naive_recursion(sys_a_pair):
+    # d = 4 over a few segments; then d = 2, which runs `_moment_tree`, and
+    # d = 3, which runs `_compose`, past one batch of MOMENT_TREE_TILES tiles
+    # to an odd tail, with checkpoints that cut tiles into runs of unequal
+    # length (single steps among them) and leave whole tiles between them.
+    assert 20011 > engine.MOMENT_TREE_TILES * noise_block_steps(2)
+    cuts = [1, 2, 3, 700, 1500, 5000, 9000, 9001, 13000, 20011]
+    cases = [(2, 2, [100, 533])] * 3 + [(1, 1, cuts)] * 2 + [(1, 2, cuts)] * 2
     rng = np.random.default_rng(12)
-    for _ in range(3):
-        spec = random_stable_system(rng, n=2, m=2)
-        z = rng.standard_normal(4)
+    for n, m, cps in cases:
+        spec = random_stable_system(rng, n=n, m=m)
+        z = rng.standard_normal(n + m)
         C0 = np.outer(z, z)
-        K = 533
-        trace = propagate_covariance(spec, sys_a_pair, C0, K, [100, K])
-        expected = naive_second_moment(spec, sys_a_pair, C0, K)
-        S11, S12, S22 = scale_to_blocks(spec, sys_a_pair, expected, K)
-        final = trace[-1]
-        scale = 1.0 + np.linalg.norm(S11)
-        assert np.linalg.norm(final.Sigma11 - S11) <= 1e-10 * scale
-        assert np.linalg.norm(final.Sigma12 - S12) <= 1e-10 * scale
-        assert np.linalg.norm(final.Sigma22 - S22) <= 1e-10 * scale
+        trace = propagate_covariance(spec, sys_a_pair, C0, cps[-1], cps)
+        assert [cp.k for cp in trace] == cps
+        for cp, expected in zip(trace, naive_second_moment(spec, sys_a_pair, C0, cps)):
+            S11, S12, S22 = scale_to_blocks(spec, sys_a_pair, expected, cp.k)
+            scale = 1.0 + np.linalg.norm(S11)
+            assert np.linalg.norm(cp.Sigma11 - S11) <= 1e-10 * scale
+            assert np.linalg.norm(cp.Sigma12 - S12) <= 1e-10 * scale
+            assert np.linalg.norm(cp.Sigma22 - S22) <= 1e-10 * scale
 
 
 def test_propagate_converges_to_prediction(sys_a, sys_a_pair):
@@ -953,16 +963,18 @@ def _route_states(route):
 # trajectory over K = 5000, and d = 6 ensembles over K = 2000, one
 # scaled-Rademacher (N = 128) and one Gaussian (N = 4096).  They pin the
 # bits of the whole segment kernel, so a rewrite of the step maps, of the
-# composition or of the ensemble plans must keep them.  The Rademacher digest
-# is that of noise terms summed over 512-column blocks from each segment's
-# first column.  The kernel's products run in the linked BLAS, whose rounding
-# can depend on its build and on its thread count, so the runs happen in a
-# child with BLAS pinned to one thread; these are the digests of OpenBLAS
-# 0.3.31 under numpy 2.4.6.
+# composition or of the ensemble plans must keep them.  The propagate digest
+# holds system A's moments from `_moment_tree`, whose d = 2 products are
+# elementwise and call no BLAS, and the d = 6 system's from `_compose`.  The
+# Rademacher digest is that of noise terms summed over 512-column blocks from
+# each segment's first column.  The kernel's other products run in the
+# linked BLAS, whose rounding can depend on its build and on its thread
+# count, so the runs happen in a child with BLAS pinned to one thread; these
+# are the digests of OpenBLAS 0.3.31 under numpy 2.4.6.
 ROUTE_GOLDEN = {
     "ensemble": "c25022fffcb45852d1c7a86d0939f49f449760798d6e73a68001a90ce4125935",
     "gaussian-ensemble": "ae3bf3353383c74044bd1a1bcc3679e3bba36366ec17a21e24c06997ab05b5d1",
-    "propagate": "fee821053e65e9c64fb72f2a5a0c6612597bdec78b5a28bd227dd7d14daa25ca",
+    "propagate": "b9db757cc08b6e33097ea5820ec4fdbc604e4f7c10dd89cd022dca1dce4db72e",
     "simulate": "96645810443a62b366dee7913630006bc12c2e6f73e3de20c4d3e72f937ae068",
 }
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -1012,6 +1024,24 @@ def test_ensemble_memory_does_not_grow_with_steps(mc_pair, distribution):
             tracemalloc.stop()
 
     K = 2000
+    peak_bytes(K)  # warm up caches that a first call allocates
+    assert peak_bytes(4 * K) - peak_bytes(K) <= 0.5e6
+
+
+@pytest.mark.parametrize("n, K", [(1, 20000), (3, 2000)])
+def test_propagate_memory_does_not_grow_with_steps(sys_a_pair, n, K):
+    # d = 2 holds the maps of one batch of MOMENT_TREE_TILES tiles at a time
+    # (K covers more than one), d = 6 those of one tile.
+    spec = random_stable_system(np.random.default_rng(5), n=n, m=n)
+
+    def peak_bytes(steps):
+        tracemalloc.start()
+        try:
+            propagate_covariance(spec, sys_a_pair, None, steps, [steps])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     peak_bytes(K)  # warm up caches that a first call allocates
     assert peak_bytes(4 * K) - peak_bytes(K) <= 0.5e6
 

@@ -22,7 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-TESTS = ["tests/test_cli.py", "tests/test_model.py", "tests/test_schedules.py"]
+TESTS = ["tests/test_cli.py", "tests/test_model.py", "tests/test_schedules.py", "tests/test_engine.py"]
 
 # (name, module, line as it stands without its indentation, replacement).
 MUTANTS = [
@@ -48,6 +48,13 @@ MUTANTS = [
      "if isinstance(value, (int, float, np.integer, np.floating)):"),
     ("no declared-dimension check", "cli.py",
      'raise ValueError(f"declared {key}={doc[key]!r} does not match matrix shapes")', "pass"),
+    ("moment tree merges M1 M2", "engine.py",
+     "_product(M2, M1, M_next[..., :h], tmp)", "_product(M1, M2, M_next[..., :h], tmp)"),
+    ("moment tree drops Q2", "engine.py", "G += Q2", "pass"),
+    ("moment tree takes M2 for M2'", "engine.py",
+     "G = _product(MQ, M2.swapaxes(0, 1), Q_next[..., :h], tmp)", "G = _product(MQ, M2, Q_next[..., :h], tmp)"),
+    ("moment tree drops the odd tail", "engine.py",
+     "M_next[..., h], Q_next[..., h] = M[..., -1], Q[..., -1]", "pass"),
 ]
 
 
