@@ -13,17 +13,19 @@ stacks (R_j N_j)' for the suffix products R_j = M_{L-1} ... M_{j+1}.
 `linalg._suffix_products` computes those products with an odd-even scan
 (Blelloch 1990): O(L d^3) work in O(log L) batched matrix products.
 
-Segments end at every noise-tile edge and at every checkpoint or recorded
-step, so each segment reads inside one tile and every reported state is the
-exact composition of its steps.  Each run of consecutive equal-length
-segments in a tile, as evenly spaced records give, shares one batched scan:
-`_compose` takes the run's maps as an (L, B, d, d) stack and makes each
-product with the same per-matrix BLAS call on the same operands, so every
-(P, W) has the bits of a scan of its own.  A tile of one segment takes its
-maps as they are, with no gather.  Step maps are built once per tile, as one
-(L, 2) x (2, d^2) product of the tile's step sizes with coefficient rows
-fixed for the run, exact because each entry has one nonzero term, and
-sliced per segment.  Exact propagation at d >= 3 updates the second
+One planner, `_segments`, cuts every route's steps into segments and
+batches them.  Segments end at every noise-tile edge and at every
+checkpoint or recorded step, so each segment reads inside one tile and
+every reported state is the exact composition of its steps.  Each run of
+consecutive equal-length segments, as evenly spaced records give, goes to
+one call of the planner's reduction as (L, B, d, d) and (L, B, d, e)
+reshape views of the maps, step axis first, with no gather.  The default
+reduction, `_compose`, makes each product with the same per-matrix BLAS
+call on the same operands, so every (P, W) has the bits of a scan of its
+own.  Step maps are built once per call of the planner's `maps`, a tile or
+a span of MOMENT_TREE_TILES tiles, as one (L, 2) x (2, d^2) product of the
+steps' sizes with coefficient rows fixed for the run, exact because each
+entry has one nonzero term.  Exact propagation at d >= 3 updates the second
 moment as C <- P C P' + W'W, and at d = 2 through the tree below.  Every
 simulated route goes through one driver, `_advance`, which moves a block
 of row states as Z <- Z P' + V, V the rows' noise term over the segment;
@@ -41,12 +43,12 @@ maps, in each chunk with a row past the cutoff, to report the first bad
 step and the replicas that crossed it.  Exact propagation replays a segment
 whose moment passes the cutoff squared the same way.
 
-Exact propagation at d = 2 composes no W.  `_moment_tree` reduces each
-segment's moment maps M_j and Q_j = N_j N_j' with a pairwise tree:
-neighbouring steps merge into (M_2 M_1, M_2 Q_1 M_2' + Q_2), level by
-level, until each segment is one pair (P, G) and C <- P C P' + G.  The
-maps are stored batch-last, (d, d, B, L), so each entry of a product is d
-elementwise multiply-adds vectorised across the B segments and their L
+Exact propagation at d = 2 composes no W: the planner hands its runs to
+`_moment_tree`, which copies the maps batch-last, (d, d, B, L), forms Q_j =
+N_j N_j' and reduces each segment with a pairwise tree: neighbouring steps
+merge into (M_2 M_1, M_2 Q_1 M_2' + Q_2), level by level, until each
+segment is one pair (P, G) and C <- P C P' + G.  Each entry of a product is
+d elementwise multiply-adds vectorised across the B segments and their L
 steps, and the reduction makes no BLAS call.  `_compose` hands BLAS one
 d x d product at a time; at d = 2 that dispatch, 25-50 ns a product, costs
 more than the arithmetic, and from d = 3 on the tree's d^3 elementwise
@@ -54,15 +56,15 @@ passes cost more than the dispatch.  Measured on a 2-core Xeon, OpenBLAS
 0.3.31 on one thread, K = 2e5 with one checkpoint, `_compose` against the
 tree (ranges of three runs): d = 2 35-52 against 26-28 ms, d = 3 46-52
 against 64-75, d = 4 49-53 against 125-145, d = 6 79-83 against 415-436.
-So the path is chosen from d alone.  The tree keeps the segment
-partition, so the cutoff check, `_replay_moment`'s first bad step and the
-checkpoint rows fall on the same steps as under `_compose`.  It reduces
-the segments of MOMENT_TREE_TILES tiles at a time, from one `_step_maps`
-call, those of one length in one call.  Four tiles share the fixed cost of
-its eleven levels, and their 8192 steps of maps in flight, about 1.2 MB at
-the peak, keep memory flat in K; eight tiles ran about 12% faster but
-held twice that.  Its sums run in another order than the scan's, so d = 2
-moments differ from `_compose`'s by about 1e-15 relative.
+So the path is chosen from d alone.  Both reductions get the same
+segments, so the cutoff check, `_replay_moment`'s first bad step and the
+checkpoint rows fall on the same steps.  At d = 2 the planner takes the
+maps of MOMENT_TREE_TILES tiles per `maps` call, so the runs are longer.
+Four tiles share the fixed cost of the tree's eleven levels, and their 8192
+steps of maps in flight, about 1.2 MB at the peak, keep memory flat in K;
+eight tiles ran about 12% faster but held twice that.  The tree's sums run
+in another order than the scan's, so d = 2 moments differ from
+`_compose`'s by about 1e-15 relative.
 
 Gaussian ensembles aggregate each segment's noise: for Gaussian u the term
 W'u is exactly N(0, W'W), and so is R'xi for the triangular factor R of
@@ -145,7 +147,7 @@ from .theory import LSequence, l_sequence
 STREAM_LAYOUT = 5  # version of the noise stream layout described above
 NOISE_CHUNK = 64  # replicas per noise tile
 NOISE_SUM_COLS = 512  # input columns per block of a Rademacher segment's noise-term sum
-MOMENT_TREE_TILES = 4  # noise tiles per `_moment_tree` batch of d = 2 propagation
+MOMENT_TREE_TILES = 4  # noise tiles per `maps` call of d = 2 propagation, whose runs go to `_moment_tree`
 # Largest float64 footprint an ensemble may plan: its N x d state, one N x d
 # noise array and one N x d array per checkpoint.
 ENSEMBLE_BYTES_CAP = 2 * 2**30
@@ -243,8 +245,6 @@ def _compose(M: np.ndarray, N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Both are fresh arrays, so a plan that keeps them holds no scan buffers.
     """
     L, d, e = len(N), M.shape[-1], N.shape[-1]
-    if L == 1:
-        return M[0].copy(), N[0].swapaxes(-1, -2).copy()
     S = _suffix_products(M.copy())
     batch = N.shape[1:-2]
     Wt = np.empty((*batch, L, e, d))  # block j of segment i is (R_j N_j)'
@@ -293,40 +293,39 @@ def _step_maps(spec: SystemSpec, pair: SchedulePair):
     return maps
 
 
-def _segments(maps, start: int, stop: int, block: int, edges):
-    """Yield (a, b, P, W) for each kernel segment [a, b) of [start, stop).
+def _segments(maps, start: int, stop: int, block: int, edges, reduce=None, tiles: int = 1):
+    """Yield (a, b, X, Y) for each kernel segment [a, b) of [start, stop), the pair reduce gives it.
 
-    Segments end at every noise-tile edge (a multiple of block) and at every
-    value of the sorted sequence edges, so a // block == (b - 1) // block.
-    maps(t0, t1) returns the per-step maps (M, N) of the steps [t0, t1); it
-    is called once per tile.  Each run of consecutive segments of one
-    length in a tile is composed in one batched `_compose` call; a run of
-    one segment takes its slices of the tile's maps unbatched, and a tile of
-    one segment takes the maps as they are, without grouping.
+    The one planner of every route.  Segments end at every noise-tile edge
+    (a multiple of block) and at every value of the sorted sequence edges,
+    so a // block == (b - 1) // block.  maps(t0, t1) returns the per-step
+    maps (M, N) of the steps [t0, t1); it is called once per span of tiles
+    noise tiles, those that start at multiples of tiles * block.  Each run
+    of consecutive segments of one length in a span goes to one call of
+    reduce, `_compose` by default or `_moment_tree`, as (L, count, d, d)
+    and (L, count, d, e) reshape views of the span's maps, step axis first,
+    with no gather; reduce returns one pair of count stacked arrays.
     """
+    reduce = _compose if reduce is None else reduce
+    span = tiles * block
     t0 = start
     while t0 < stop:
-        t1 = min(stop, (t0 // block + 1) * block)
+        t1 = min(stop, (t0 // span + 1) * span)
         M, N = maps(t0, t1)
-        bounds = [t0, *edges[bisect_right(edges, t0) : bisect_left(edges, t1)], t1]
-        if len(bounds) == 2:  # one segment, the whole tile
-            yield (t0, t1, *_compose(M, N))
-            t0 = t1
-            continue
+        tile_edges = range((t0 // block + 1) * block, t1, block)
+        cuts = sorted({*tile_edges, *edges[bisect_right(edges, t0) : bisect_left(edges, t1)]})
+        bounds = [t0, *cuts, t1]
         a = t0
         for L, run in itertools.groupby(y - x for x, y in zip(bounds, bounds[1:])):
             count = len(list(run))
-            Ms, Ns = M[a - t0 : a - t0 + count * L], N[a - t0 : a - t0 + count * L]
-            if count == 1:
-                yield (a, a + L, *_compose(Ms, Ns))
-            else:
-                # (L, count, ...) views: step axis first, one segment per batch entry.
-                P, W = _compose(
-                    Ms.reshape(count, L, *M.shape[1:]).swapaxes(0, 1),
-                    Ns.reshape(count, L, *N.shape[1:]).swapaxes(0, 1),
-                )
-                for i in range(count):
-                    yield (a + i * L, a + (i + 1) * L, P[i], W[i])
+            i0, i1 = a - t0, a - t0 + count * L
+            # (L, count, ...) views: step axis first, one segment per batch entry.
+            X, Y = reduce(
+                M[i0:i1].reshape(count, L, *M.shape[1:]).swapaxes(0, 1),
+                N[i0:i1].reshape(count, L, *N.shape[1:]).swapaxes(0, 1),
+            )
+            for i in range(count):
+                yield (a + i * L, a + (i + 1) * L, X[i], Y[i])
             a += count * L
         t0 = t1
 
@@ -345,18 +344,23 @@ def _product(X: np.ndarray, Y: np.ndarray, out=None, tmp=None) -> np.ndarray:
     return out
 
 
-def _moment_tree(M: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce the moment maps of B segments of L steps to one pair (P, G) each.
+def _moment_tree(M: np.ndarray, N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce the maps of B segments of L steps to one moment pair (P, G) each.
 
-    M and Q are C-contiguous (d, d, B, L), step j of segment b at [..., b,
-    j]: M_j = I - D_j A and Q_j = N_j N_j'.  Neighbouring steps merge in
-    pairs, step 1 then step 2 into (M_2 M_1, M_2 Q_1 M_2' + Q_2), level by
-    level; an odd last step passes to the next level as it is.  Returns P
-    and G, each (d, d, B), with C <- P C P' + G the moment update over each
-    segment.  M and Q are overwritten: the levels alternate between them and
-    one set of spare buffers, so no level allocates.
+    M and N are (L, B, d, d) and (L, B, d, e), step axis first, as
+    `_segments` hands a run to its reduction.  They are copied batch-last,
+    (d, d, B, L) with step j of segment b at [..., b, j], and N becomes Q_j
+    = N_j N_j'.  Neighbouring steps merge in pairs, step 1 then step 2 into
+    (M_2 M_1, M_2 Q_1 M_2' + Q_2), level by level; an odd last step passes to
+    the next level as it is.  Returns P and G, each (B, d, d), with C <- P C
+    P' + G the moment update over each segment.  The levels alternate
+    between the copies and one set of spare buffers, so no level allocates.
     """
-    d, _, B, L = M.shape
+    L, B, d, _ = M.shape
+    M = np.ascontiguousarray(M.transpose(2, 3, 1, 0))
+    N = np.ascontiguousarray(N.transpose(2, 3, 1, 0))
+    Q = _product(N, N.swapaxes(0, 1))
+    del N
     spare = np.empty((4, d * d * B * (L - L // 2)))  # a level's output pair, its M_2 Q_1 and one term
 
     def level(buf, length):
@@ -376,53 +380,7 @@ def _moment_tree(M: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             M_next[..., h], Q_next[..., h] = M[..., -1], Q[..., -1]
         free[:2], free[2:] = free[2:], free[:2]
         M, Q, L = M_next, Q_next, L - h
-    return M[..., 0].copy(), Q[..., 0].copy()
-
-
-def _moment_segments(maps, stop: int, block: int, edges):
-    """Yield (a, b, P, G) for each kernel segment [a, b) of [0, stop), cut as `_segments` cuts them.
-
-    C <- P C P' + G is the second-moment update over the segment.  The
-    segments of MOMENT_TREE_TILES consecutive noise tiles are reduced
-    together by `_span_moments`.
-    """
-    span = MOMENT_TREE_TILES * block
-    for t0 in range(0, stop, span):
-        t1 = min(stop, t0 + span)
-        cuts = edges[bisect_right(edges, t0) : bisect_left(edges, t1)]
-        bounds = sorted({t0, *range(t0 + block, t1, block), *cuts, t1})
-        yield from zip(bounds[:-1], bounds[1:], *_span_moments(maps, bounds))
-
-
-def _span_moments(maps, bounds) -> tuple[np.ndarray, np.ndarray]:
-    """P and G, each (segments, d, d), of the segments [bounds[i], bounds[i + 1]).
-
-    The span's maps come from one maps call and are stored batch-last; the
-    segments of one length go through one `_moment_tree` call, on a view of
-    the maps when they fill the span and on a gathered copy otherwise.
-    """
-    M, N = maps(bounds[0], bounds[-1])
-    d = M.shape[-1]
-    M = np.ascontiguousarray(M.transpose(1, 2, 0))
-    N = np.ascontiguousarray(N.transpose(1, 2, 0))
-    Q = _product(N, N.swapaxes(0, 1))
-    del N
-    runs = {}  # segment length -> indices of the segments of that length
-    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        runs.setdefault(b - a, []).append(i)
-    groups = []
-    for L, which in runs.items():
-        if len(which) == len(bounds) - 1:  # one run of equal segments fills the span
-            groups.append((which, M.reshape(d, d, -1, L), Q.reshape(d, d, -1, L)))
-        else:
-            steps = np.array([bounds[i] - bounds[0] for i in which])[:, None] + np.arange(L)  # (B, L)
-            groups.append((which, np.take(M, steps, axis=-1), np.take(Q, steps, axis=-1)))
-    del M, Q  # a gathered span holds only its copies while the trees run
-    P, G = np.empty((2, len(bounds) - 1, d, d))
-    for which, M, Q in groups:
-        P_L, G_L = _moment_tree(M, Q)
-        P[which], G[which] = P_L.transpose(2, 0, 1), G_L.transpose(2, 0, 1)
-    return P, G
+    return M[..., 0].transpose(2, 0, 1).copy(), Q[..., 0].transpose(2, 0, 1).copy()
 
 
 def _blocked_product(U: np.ndarray, W: np.ndarray, out: np.ndarray, buf: np.ndarray) -> None:
@@ -690,7 +648,7 @@ def propagate_covariance(
         C = symmetrize(np.asarray(C0, dtype=np.float64).reshape(d, d))
         if not np.all(np.isfinite(C)):
             raise NonFinite("initial second moment has non-finite entries")
-        if float(np.min(np.linalg.eigvalsh(C))) < psd_floor(C):
+        if not float(np.min(np.linalg.eigvalsh(C))) >= psd_floor(C):
             raise NotPSD("initial second moment has a negative eigenvalue beyond tolerance")
 
     cps = sorted(set(int(c) for c in checkpoints))
@@ -702,7 +660,7 @@ def propagate_covariance(
     maps = _step_maps(spec, pair)
     block = noise_block_steps(d)
     if d == 2:
-        plan = _moment_segments(maps, cps[-1], block, cps)
+        plan = _segments(maps, 0, cps[-1], block, cps, _moment_tree, MOMENT_TREE_TILES)
     else:
         plan = ((a, b, P, W.T @ W) for a, b, P, W in _segments(maps, 0, cps[-1], block, cps))
     # Unstable systems overflow the composed maps; the replay reports where.

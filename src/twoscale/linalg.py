@@ -66,8 +66,18 @@ def spectral_abscissa(M) -> float:
 
 
 def psd_floor(G) -> float:
-    """Smallest eigenvalue a symmetric G may have and still count as PSD."""
-    return -PSD_TOL * (1.0 + float(np.linalg.norm(G)))
+    """Smallest eigenvalue a symmetric G may have and still count as PSD.
+
+    The norm is taken of G scaled by its largest entry, so it does not
+    overflow while the entries are finite.  A floor that is not finite
+    would pass every eigenvalue, so it raises NonFinite instead.
+    """
+    G = as_matrix(G)
+    scale = float(np.max(np.abs(G), initial=0.0))
+    floor = -PSD_TOL * (1.0 + (scale * float(np.linalg.norm(G / scale)) if scale else 0.0))
+    if not np.isfinite(floor):
+        raise NonFinite("matrix norm is beyond the float range; no PSD floor exists")
+    return floor
 
 
 def solve_sylvester(A, B, C) -> np.ndarray:
@@ -145,7 +155,8 @@ def factor_covariance(G) -> np.ndarray:
         raise ValueError("covariance is not symmetric within tolerance")
 
     w, V = np.linalg.eigh(symmetrize(G))
-    if np.min(w) < psd_floor(G):
+    # NaN eigenvalues, as an overflowing symmetrization gives, fail too.
+    if not np.min(w) >= psd_floor(G):
         raise NotPSD(f"covariance has eigenvalue {np.min(w):.3e} below -{PSD_TOL:.0e} * (1 + ||G||)")
     F = V * np.sqrt(np.clip(w, 0.0, None))
     return F

@@ -203,6 +203,21 @@ def test_non_finite_noise_exits_1(tmp_path, capsys, command, value):
     assert "malformed configuration: noise covariance blocks must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [1e154, 1e200, 1e308])
+@pytest.mark.parametrize("command", ["validate", "predict"])
+def test_non_psd_noise_with_huge_entries_exits_2(tmp_path, capsys, command, value):
+    # Gamma = [[1, v], [v, 1]] has eigenvalue 1 - v.  Its Frobenius norm
+    # overflows from about 1.3e154 on, and at 1e308 the symmetrized Gamma
+    # overflows to NaN eigenvalues; each must still be refused.
+    doc = dict(SYS_A_DOC, noise=dict(SYS_A_DOC["noise"], Gamma12=[[value]]))
+    path = tmp_path / "non_psd.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert cli.main([command, "--config", str(path)]) == 2
+    assert "error: covariance has eigenvalue" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_non_finite_offset_exits_1(tmp_path, capsys, value):
     path = tmp_path / "non_finite_b.json"

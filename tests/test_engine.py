@@ -584,6 +584,14 @@ def test_propagate_rejects_indefinite_start(sys_a, sys_a_pair):
         propagate_covariance(sys_a, sys_a_pair, [[-1.0, 0.0], [0.0, 1.0]], 10, [10])
 
 
+@pytest.mark.parametrize("value", [1e154, 1e200])
+def test_propagate_rejects_indefinite_start_with_huge_entries(sys_a, sys_a_pair, value):
+    from twoscale.errors import NotPSD
+
+    with pytest.raises(NotPSD):
+        propagate_covariance(sys_a, sys_a_pair, [[1.0, value], [value, 1.0]], 10, [10])
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_propagate_refuses_non_finite_start(sys_a, sys_a_pair, bad):
     # A NaN has NaN eigenvalues, which no PSD comparison catches.
@@ -846,6 +854,45 @@ def test_segments_cut_at_tile_and_record_edges(start, stop, edges):
     assert {k for k in range(start + 1, stop) if k % block == 0} <= ends
     for seg in segments:
         assert np.array_equal(seg[2], np.eye(d)) and not np.any(seg[3])
+
+
+@pytest.mark.parametrize(
+    "start, stop, edges",
+    [
+        (0, 1000, []),
+        (37, 3000, list(range(50, 3000, 50))),
+        (300, 2048, [512, 1024, 2048]),
+        # Edges on span boundaries (multiples of 4 * 256), a stop off the tile grid.
+        (0, 5000, [1, 1024, 2048, 2049, 3000, 4096]),
+    ],
+)
+def test_segments_cut_the_same_at_both_spans(start, stop, edges):
+    # d = 2 propagation takes the maps of MOMENT_TREE_TILES tiles per call,
+    # every other route those of one tile; the tile edges inside a span cut
+    # the same segments.
+    block, d = 256, 2
+    span = engine.MOMENT_TREE_TILES * block
+
+    def plan(reduce, tiles):
+        calls = []
+
+        def identity_maps(t0, t1):
+            calls.append((t0, t1))
+            return np.broadcast_to(np.eye(d), (t1 - t0, d, d)), np.zeros((t1 - t0, d, d))
+
+        segments = list(_segments(identity_maps, start, stop, block, edges, reduce, tiles))
+        for _, _, P, G in segments:
+            assert np.array_equal(P, np.eye(d)) and not np.any(G)
+        return [(a, b) for a, b, _, _ in segments], calls
+
+    def grid(unit):  # one maps call per tile or span that [start, stop) meets
+        starts = [start, *range(start - start % unit + unit, stop, unit)]
+        return [(t0, min(stop, t0 - t0 % unit + unit)) for t0 in starts]
+
+    one, tile_calls = plan(None, 1)
+    many, span_calls = plan(engine._moment_tree, engine.MOMENT_TREE_TILES)
+    assert many == one
+    assert tile_calls == grid(block) and span_calls == grid(span)
 
 
 def test_divergence_step_agrees_across_routes():
@@ -1285,7 +1332,7 @@ def test_segments_batch_runs_of_equal_length_bit_for_bit(start, stop, edges):
 
 def test_a_tile_of_one_segment_is_composed_as_it_is(monkeypatch):
     # No checkpoint inside a tile: each _compose call gets the tile's own
-    # unbatched maps, the same memory, with no gather into a batch.
+    # maps as a batch of one, the same memory, with no gather into a batch.
     calls = []
     compose = engine._compose
 
@@ -1303,5 +1350,5 @@ def test_a_tile_of_one_segment_is_composed_as_it_is(monkeypatch):
     segments = list(_segments(maps, 0, 3 * block, block, [block, 2 * block]))
     assert [(a, b) for a, b, _, _ in segments] == [(0, block), (block, 2 * block), (2 * block, 3 * block)]
     assert calls == [
-        ((block, d, d), M_all[t0:].ctypes.data, N_all[t0:].ctypes.data) for t0 in (0, block, 2 * block)
+        ((block, 1, d, d), M_all[t0:].ctypes.data, N_all[t0:].ctypes.data) for t0 in (0, block, 2 * block)
     ]

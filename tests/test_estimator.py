@@ -178,6 +178,13 @@ def test_normality_check_refuses_an_indefinite_prediction():
         normality_check(x, 1.0, np.diag([1.0, -1e-11]))
 
 
+def test_normality_check_refuses_an_indefinite_prediction_with_huge_entries():
+    # Eigenvalues 1 +- 1e200: well conditioned, and far below the PSD floor.
+    x = np.random.default_rng(3).standard_normal((200, 2))
+    with pytest.raises(NotPSD):
+        normality_check(x, 1.0, np.array([[1.0, 1e200], [1e200, 1.0]]))
+
+
 def test_normality_report_serialization():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((500, 2))

@@ -3,8 +3,10 @@ import pytest
 
 from twoscale.errors import NonFinite, NotPSD, SingularPencil
 from twoscale.linalg import (
+    PSD_TOL,
     factor_covariance,
     is_symmetric,
+    psd_floor,
     solve_sylvester,
     spectral_abscissa,
 )
@@ -123,6 +125,20 @@ def test_factor_semidefinite_input():
 def test_factor_rejects_indefinite():
     with pytest.raises(NotPSD):
         factor_covariance([[-1.0]])
+
+
+@pytest.mark.parametrize("value", [1e154, 1e200, 1e300])
+def test_psd_floor_is_finite_for_finite_entries(value):
+    # The Frobenius norm of these overflows; the floor scales by max |G| first.
+    G = np.array([[1.0, value], [value, 1.0]])
+    assert psd_floor(G) == pytest.approx(-PSD_TOL * (1.0 + value * np.sqrt(2.0)))
+    with pytest.raises(NotPSD):
+        factor_covariance(G)
+
+
+def test_psd_floor_beyond_the_float_range_is_refused():
+    with pytest.raises(NonFinite):
+        psd_floor(np.full((3, 3), 1e308))
 
 
 def test_factor_rejects_asymmetric():
