@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, estimator, theory
+from . import engine, estimator, linalg, theory
 from .errors import AssumptionViolation, Diverged, TwoScaleError
 from .model import NoiseSpec, SystemSpec, averaging_system, validate_system
 from .schedules import SchedulePair, StepSchedule
@@ -336,8 +336,7 @@ def cmd_predict(args) -> int:
     reduced = theory.predict_reduced(cfg.system, cfg.schedules.beta_bar)
     opt_cov, g1_opt, g_opt = theory.optimal_gain_covariance(cfg.system)
 
-    scale = 1.0 + float(np.linalg.norm(pred.Sigma11))
-    discrepancy = float(np.linalg.norm(pred.Sigma11 - reduced)) / scale
+    discrepancy = linalg.frobenius(pred.Sigma11 - reduced) / (1.0 + linalg.frobenius(pred.Sigma11))
     print(f"full-vs-reduced slow-block discrepancy: {discrepancy:.3e}")
 
     matrices = {

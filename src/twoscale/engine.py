@@ -261,12 +261,9 @@ def _step_maps(spec: SystemSpec, pair: SchedulePair):
     for the coefficient rows c = (A with its fast rows zeroed, A with its
     slow rows zeroed), flattened, and D_k F likewise.  So one tile's maps are
     an (L, 2) x (2, d^2) and an (L, 2) x (2, d e) product, with rows built
-    once per run.  They equal the entrywise D_k A and D_k F bit for bit: each
-    entry has one nonzero term, the other being a step size times zero.  Only
-    the sign of a zero can differ, since the product's sums start at +0.0.
-    I - (+-0) is +0.0 either way, and N takes back F's signs whenever some
-    beta_k F_ij or gamma_k F_ij can be zero: F has a -0.0 entry, as singular
-    covariances give, or a product may underflow.
+    once per run.  Each entry has one nonzero term, the other being a step
+    size times zero, so M is the entrywise I - D_k A bit for bit, and N is
+    the entrywise D_k F up to the sign of its zeros.
     """
     n, d = spec.n, spec.n + spec.m
     F = spec.noise.factor
@@ -275,10 +272,6 @@ def _step_maps(spec: SystemSpec, pair: SchedulePair):
     coef_A = (rows * spec.block_matrix()).reshape(2, d * d)
     coef_F = (rows * F).reshape(2, -1)
     identity = np.eye(d).reshape(d * d)
-    signs = F.reshape(-1)
-    # A product rounds to zero only if some step times the least |F_ij| that
-    # carries a sign bit falls below the smallest normal double.
-    least_signed = np.abs(signs[np.signbit(signs)]).min(initial=np.inf)
 
     def maps(a: int, b: int):
         ks = np.arange(a, b)
@@ -286,8 +279,6 @@ def _step_maps(spec: SystemSpec, pair: SchedulePair):
         M = steps @ coef_A
         np.subtract(identity, M, out=M)
         N = steps @ coef_F
-        if not steps.min() * least_signed >= np.finfo(np.float64).tiny:
-            np.copysign(N, signs, out=N)
         return M.reshape(b - a, d, d), N.reshape(b - a, d, -1)
 
     return maps

@@ -1,20 +1,21 @@
-"""Small dense matrix kernels: spectral abscissa, Sylvester solves, product scans, covariance factors.
+"""Small dense matrix kernels: spectral abscissa, norms, Lyapunov solves, product scans, covariance factors.
 
-Sylvester equations go to scipy's Bartels-Stewart solver (1972), which
-reduces both coefficients to Schur form: O(p^3 + q^3) time and O(pq)
-memory, where vectorizing the equation would need a (pq) x (pq) system.
-A Lyapunov equation, B = A', takes one Schur form of A for both sides and
-scipy's own triangular solve and products, so it returns scipy's bytes.
-Each solution is then checked against the equation itself, so a singular or
-ill-conditioned pencil fails loudly instead of returning garbage.  All
-tolerances are relative to (1 + norm of the data) so they behave sensibly
-near zero.
+Lyapunov equations go to scipy's Bartels-Stewart solver (1972),
+`solve_continuous_lyapunov`, which takes one real Schur form of the
+coefficient: O(p^3) time and O(p^2) memory, where vectorizing the equation
+would need a p^2 x p^2 system.  Each solution is then checked against the
+equation itself, so a singular or ill-conditioned pencil fails loudly
+instead of returning garbage.  All tolerances are relative to (1 + norm of
+the data) so they behave sensibly near zero, and every norm is `frobenius`,
+which does not overflow while the entries are finite.
 
 `_suffix_products` is the associative scan behind both the engine's segment
 kernel and the linearized decoupling recursion in `theory`.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -50,7 +51,8 @@ def is_symmetric(M) -> bool:
 
 def symmetrize(M) -> np.ndarray:
     M = as_matrix(M)
-    return 0.5 * (M + M.T)
+    # Halved before the sum, which then cannot overflow.
+    return 0.5 * M + 0.5 * M.T
 
 
 def spectral_abscissa(M) -> float:
@@ -65,59 +67,54 @@ def spectral_abscissa(M) -> float:
     return float(np.max(np.linalg.eigvals(A).real))
 
 
+def frobenius(M) -> float:
+    """Frobenius norm of M, taken of M / max |M| so it does not overflow while the norm is finite."""
+    M = np.asarray(M, dtype=np.float64)
+    scale = float(np.max(np.abs(M), initial=0.0))
+    if not 0.0 < scale < np.inf:
+        return scale  # 0, inf or NaN
+    return scale * float(np.linalg.norm(M / scale))
+
+
 def psd_floor(G) -> float:
     """Smallest eigenvalue a symmetric G may have and still count as PSD.
 
-    The norm is taken of G scaled by its largest entry, so it does not
-    overflow while the entries are finite.  A floor that is not finite
-    would pass every eigenvalue, so it raises NonFinite instead.
+    A floor that is not finite would pass every eigenvalue, so it raises
+    NonFinite instead.
     """
-    G = as_matrix(G)
-    scale = float(np.max(np.abs(G), initial=0.0))
-    floor = -PSD_TOL * (1.0 + (scale * float(np.linalg.norm(G / scale)) if scale else 0.0))
+    floor = -PSD_TOL * (1.0 + frobenius(as_matrix(G)))
     if not np.isfinite(floor):
         raise NonFinite("matrix norm is beyond the float range; no PSD floor exists")
     return floor
 
 
-def solve_sylvester(A, B, C) -> np.ndarray:
-    """Solve A X + X B = C by the Bartels-Stewart algorithm.
+def solve_sylvester(A, C) -> np.ndarray:
+    """Solve the Lyapunov equation A X + X A' = C by the Bartels-Stewart algorithm.
 
-    A is p x p, B is q x q, C is p x q.  Unique solvability requires the
-    spectra of A and -B to be disjoint; a shared eigenvalue surfaces as a
-    residual far above tolerance.  A Lyapunov equation, B = A' bit for bit,
-    takes one real Schur form A = U R U' for both sides and returns the
-    bytes of scipy's `solve_sylvester(A, A', C)`.
+    A and C are p x p.  Unique solvability requires that no two eigenvalues
+    of A sum to zero; such a pair surfaces as a residual far above tolerance.
     """
     # Deferred: importing scipy.linalg adds tens of milliseconds to every CLI start.
     import scipy.linalg
 
     A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
     C = as_matrix(C, "C")
-    p, q = C.shape
-    if A.shape != (p, p) or B.shape != (q, q):
-        raise ValueError(f"inconsistent shapes A{A.shape}, B{B.shape}, C{C.shape}")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B)) and np.all(np.isfinite(C))):
+    if A.shape != C.shape or A.shape[0] != A.shape[1]:
+        raise ValueError(f"inconsistent shapes A{A.shape}, C{C.shape}")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(C))):
         raise NonFinite("Sylvester data has non-finite entries")
 
     try:
-        if p and p == q and A.tobytes() == B.T.tobytes():
-            # scipy's own steps with the Schur form of B' = A reused:
-            # R Y + Y R' = U' C U, then X = U (scale Y) U'.
-            r, u = scipy.linalg.schur(A, output="real")
-            trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (r, r, C))
-            y, scale, info = trsyl(r, r, np.dot(np.dot(u.T, C), u), tranb="C")
-            if info < 0:
-                raise np.linalg.LinAlgError(f"Illegal value encountered in the {-info} term")
-            X = np.dot(np.dot(u, scale * y), u.T)
-        else:
-            X = scipy.linalg.solve_sylvester(A, B, C)
+        with warnings.catch_warnings():
+            # scipy warns of an eigenvalue pair summing to zero; the residual check refuses it.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            X = scipy.linalg.solve_continuous_lyapunov(A, C)
     except np.linalg.LinAlgError as exc:
         raise SingularPencil(f"Sylvester solve failed: {exc}") from exc
 
-    resid = np.linalg.norm(A @ X + X @ B - C)
-    if not np.isfinite(resid) or resid > 1e-10 * (1.0 + np.linalg.norm(C)):
+    with np.errstate(all="ignore"):
+        resid = frobenius(A @ X + X @ A.T - C)
+    if not resid <= 1e-10 * (1.0 + frobenius(C)):
         raise SingularPencil(
             f"Sylvester pencil singular or ill-conditioned: residual {resid:.3e} exceeds tolerance"
         )

@@ -153,8 +153,8 @@ def fixed_point(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    resid = np.linalg.norm(A @ x - b)
-    if resid > 1e-10 * (1.0 + np.linalg.norm(b)):
+    resid = linalg.frobenius(A @ x - b)
+    if resid > 1e-10 * (1.0 + linalg.frobenius(b)):
         raise SingularSystem(f"fixed-point residual {resid:.3e} exceeds tolerance")
     return x[: spec.n], x[spec.n :]
 

@@ -118,16 +118,16 @@ def predict_full(spec: SystemSpec, beta_bar: float) -> CovariancePrediction:
     delta = delta_matrix(spec)
     G = spec.noise
 
-    S22 = linalg.solve_sylvester(spec.A22, spec.A22.T, G.Gamma22)
-    S22 = linalg.symmetrize(S22)
+    S22 = linalg.symmetrize(linalg.solve_sylvester(spec.A22, G.Gamma22))
 
-    # Cross equation is one-sided in S12: S12 = (Gamma12 - A12 S22) A22^{-T}.
-    S12 = np.linalg.solve(spec.A22, (G.Gamma12 - spec.A12 @ S22).T).T
-
+    # An overflow here leaves inf or NaN in the slow data, which the slow
+    # solve refuses as NonFinite.
+    with np.errstate(all="ignore"):
+        # Cross equation is one-sided in S12: S12 = (Gamma12 - A12 S22) A22^{-T}.
+        S12 = np.linalg.solve(spec.A22, (G.Gamma12 - spec.A12 @ S22).T).T
+        rhs = linalg.symmetrize(G.Gamma11 - spec.A12 @ S12.T - S12 @ spec.A12.T)
     shifted = delta - 0.5 * beta_bar * np.eye(spec.n)
-    rhs = G.Gamma11 - spec.A12 @ S12.T - S12 @ spec.A12.T
-    S11 = linalg.solve_sylvester(shifted, shifted.T, linalg.symmetrize(rhs))
-    S11 = linalg.symmetrize(S11)
+    S11 = linalg.symmetrize(linalg.solve_sylvester(shifted, rhs))
 
     return CovariancePrediction(
         Sigma11=S11,
@@ -147,7 +147,7 @@ def predict_reduced(spec: SystemSpec, beta_bar: float) -> np.ndarray:
     _check_predict_preconditions(spec, beta_bar)
     drift = delta_matrix(spec) - 0.5 * beta_bar * np.eye(spec.n)
     Q = noise_equivalent_covariance(spec)
-    return linalg.symmetrize(linalg.solve_sylvester(drift, drift.T, Q))
+    return linalg.symmetrize(linalg.solve_sylvester(drift, Q))
 
 
 def optimal_gain_covariance(

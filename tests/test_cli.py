@@ -1,7 +1,9 @@
+import copy
 import csv
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -21,6 +23,7 @@ from twoscale import (
     predict_full,
     predict_reduced,
 )
+from twoscale.linalg import psd_floor
 
 SYS_A_DOC = {
     "n": 1,
@@ -1164,3 +1167,102 @@ def test_predict_solves_the_fast_coupling_and_noise_covariance_once(sys_a_config
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     assert cli.main(["predict", "--config", sys_a_config]) == 0
     assert len(calls) == 3
+
+
+AVERAGING_DOC = {"A": [[2.0, 0.5], [0.0, 1.0]], "b": [1.0, -1.0], "Gamma": [[1.0, 0.2], [0.2, 2.0]]}
+# What a mutation puts in place of a leaf or a subtree.
+FUZZ_VALUES = [
+    None, True, False, "", "1.0", "x", [], [[]], {}, [1.0, [2.0]], [[1.0], [1.0, 2.0]],
+    0, 0.0, -1, -1.0, 1, 0.5, 2, 1e200, 1e308, -1e308, 1e-320, 10**400,
+    float("nan"), float("inf"), float("-inf"), [[1e200]], [[0.0]], [[-1.0]], [1.0], [[1.0, 0.0], [0.0, 1.0]],
+]
+
+
+def mutated_document(rng: random.Random, doc):
+    """doc after one to three mutations, each replacing a node at random or deleting a key."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        slots = []  # (container, key) of every node below the root
+
+        def walk(node):
+            if isinstance(node, (dict, list)):
+                for key in list(node) if isinstance(node, dict) else range(len(node)):
+                    slots.append((node, key))
+                    walk(node[key])
+
+        walk(doc)
+        if not slots:
+            break
+        node, key = rng.choice(slots)
+        if isinstance(node, dict) and rng.random() < 0.2:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+    return doc
+
+
+def test_fuzzed_documents_get_a_verdict_or_one_line(tmp_path, capsys):
+    # Every mutated document gets an answer from validate and predict, or a
+    # refusal of one stderr line, and never a traceback or a stray warning.
+    # Each warning would print its own stderr lines outside pytest, so it counts as one.
+    rng = random.Random(0)
+    path = tmp_path / "fuzz.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for i in range(300):
+            doc = mutated_document(rng, SYS_A_DOC if i % 2 else AVERAGING_DOC)
+            path.write_text(json.dumps(doc))
+            for command in ("validate", "predict"):
+                code = cli.main([command, "--config", str(path)])
+                out = capsys.readouterr()
+                errors = out.err.splitlines() + [str(w.message) for w in caught]
+                caught.clear()
+                assert len(errors) == 1 if code == 1 else len(errors) <= 1, (command, doc, out.err)
+                if command == "predict" and code == 0:
+                    parsed = parse_matrix_csv(out.out.splitlines()[1:])
+                    for name in ("Sigma11", "Sigma22", "Sigma11_opt"):
+                        S = parsed[name]
+                        assert np.all(np.isfinite(S)), (doc, name)
+                        assert np.min(np.linalg.eigvalsh(S)) >= psd_floor(S), (doc, name)
+
+
+STIFF_DOC = {
+    "A11": [[2e-9, 0.0], [0.0, 1e8]], "A12": [[0.0], [0.0]], "A21": [[0.0, 0.0]], "A22": [[1.0]],
+    "b1": [0.0, 0.0], "b2": [0.0],
+    "noise": {"Gamma11": [[1.0, 0.0], [0.0, 1.0]], "Gamma12": [[0.0], [0.0]], "Gamma22": [[1.0]]},
+    "beta": {"base": 1.0, "tau": 10.0, "alpha": 0.9}, "gamma": {"base": 1.0, "tau": 10.0, "alpha": 0.7},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, command, code",
+    [
+        # symmetrize's sum of two 1e308 entries
+        (dict(SYS_A_DOC, noise=dict(SYS_A_DOC["noise"], Gamma12=[[1e308]])), "validate", 2),
+        # predict_full's A12 S12' beyond the float range
+        (dict(SYS_A_DOC, A12=[[-1e308]]), "predict", 2),
+        # Frobenius norms of entries near 1e200, squared on the way
+        (dict(SYS_A_DOC, noise=dict(SYS_A_DOC["noise"], Gamma22=[[1e200]])), "predict", 0),
+        # Slow drift diag(2e-9, 1e8): the pair 2e-9 + 2e-9 is zero on the scale of 1e8
+        (STIFF_DOC, "validate", 0),
+        (STIFF_DOC, "predict", 2),
+    ],
+    ids=["gamma12-1e308", "a12-1e308", "gamma22-1e200", "stiff-validate", "stiff-predict"],
+)
+def test_overflow_and_singular_pencils_write_at_most_one_stderr_line(tmp_path, capsys, doc, command, code):
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([command, "--config", str(path)]) == code
+    out = capsys.readouterr()
+    assert not caught
+    assert len(out.err.splitlines()) == (code == 2)
+    if doc is STIFF_DOC and code == 2:
+        assert out.err.startswith("error: Sylvester pencil singular or ill-conditioned: ")
+    if code == 0 and command == "predict":
+        # A22 = 1, Gamma22 = 1e200: S22 = Gamma22 / 2, S12 = -S22 and 1.9 S11 = 1 + 1e200.
+        parsed = parse_matrix_csv(out.out.splitlines()[1:])
+        assert parsed["Sigma22"][0, 0] == pytest.approx(5e199, rel=1e-14)
+        assert parsed["Sigma12"][0, 0] == pytest.approx(-5e199, rel=1e-14)
+        assert parsed["Sigma11"][0, 0] == pytest.approx(1e200 / 1.9, rel=1e-14)

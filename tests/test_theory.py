@@ -57,7 +57,7 @@ def test_predict_full_decoupled_blocks():
     )
     pred = predict_full(spec, beta_bar=0.0)
     assert pred.Sigma12 == pytest.approx(np.array([[0.0]]))
-    slow_only = solve_sylvester(spec.A11, spec.A11.T, spec.noise.Gamma11)
+    slow_only = solve_sylvester(spec.A11, spec.noise.Gamma11)
     assert pred.Sigma11 == pytest.approx(slow_only)
 
 

@@ -24,7 +24,7 @@ import tempfile
 from pathlib import Path
 
 TESTS = ["tests/test_cli.py", "tests/test_model.py", "tests/test_schedules.py", "tests/test_engine.py",
-         "tests/test_oracles.py"]
+         "tests/test_oracles.py", "tests/test_linalg.py", "tests/test_theory.py"]
 # Digest tests fail on any change of bits, so they are left out: each kill
 # is then credited to a test of behaviour, and a declared bit change that
 # refreshes the digests leaves the kill count as it was.
@@ -78,6 +78,15 @@ MUTANTS = [
      "raise MomentDiverged(a + j + 1)", "raise MomentDiverged(a + j + 2)"),
     ("moment replay never fires", "engine.py",
      "if not float(np.abs(C).max()) <= DIVERGENCE_CUTOFF**2:", "if False:"),
+    ("Lyapunov residual check never fires", "linalg.py",
+     "if not resid <= 1e-10 * (1.0 + frobenius(C)):", "if False:"),
+    ("Lyapunov solve takes A' for A", "linalg.py",
+     "X = scipy.linalg.solve_continuous_lyapunov(A, C)", "X = scipy.linalg.solve_continuous_lyapunov(A.T, C)"),
+    ("full prediction drops the cross term from the slow equation", "theory.py",
+     "rhs = linalg.symmetrize(G.Gamma11 - spec.A12 @ S12.T - S12 @ spec.A12.T)",
+     "rhs = linalg.symmetrize(G.Gamma11)"),
+    ("reduced prediction drops the beta_bar / 2 shift", "theory.py",
+     "drift = delta_matrix(spec) - 0.5 * beta_bar * np.eye(spec.n)", "drift = delta_matrix(spec)"),
 ]
 
 
